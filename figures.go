@@ -8,7 +8,6 @@ import (
 	"sanft/internal/core"
 	"sanft/internal/microbench"
 	"sanft/internal/report"
-	"sanft/internal/stats"
 )
 
 // ---------------------------------------------------------------------------
@@ -18,8 +17,8 @@ import (
 // Fig3Result holds the five-stage one-way latency breakdown of a 4-byte
 // message, with and without the retransmission protocol.
 type Fig3Result struct {
-	NoFT stats.Breakdown
-	FT   stats.Breakdown
+	NoFT Breakdown
+	FT   Breakdown
 }
 
 // RunFig3 regenerates Figure 3.

@@ -158,12 +158,6 @@ type Config struct {
 	// GOMAXPROCS) only changes wall-clock time. Ignored by the
 	// sequential engine.
 	Workers int
-
-	// Shards is the historical name for Workers.
-	//
-	// Deprecated: set Workers (and Engine/Plan). Read only when Workers
-	// is zero.
-	Shards int
 }
 
 // Cluster is a fully wired simulation instance, on either engine.

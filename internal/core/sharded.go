@@ -63,22 +63,6 @@ type Flow struct {
 	Src, Dst topology.NodeID
 }
 
-// ShardedCluster is the historical name for a Cluster built with
-// EngineSharded; the two have been one type since the constructors were
-// unified.
-//
-// Deprecated: use Cluster (New with Config.Engine = EngineSharded, or the
-// root package's WithEngine/WithShardPlan options).
-type ShardedCluster = Cluster
-
-// NewSharded builds a sharded cluster from the same Config as New.
-//
-// Deprecated: set cfg.Engine = EngineSharded and call New.
-func NewSharded(cfg Config) *Cluster {
-	cfg.Engine = EngineSharded
-	return New(cfg)
-}
-
 // planGroups resolves a ShardPlan against the host list: explicit groups
 // are validated (every host exactly once, no strangers), HostsPerShard
 // chunks the hosts in order, and the zero plan is one host per shard.
@@ -158,10 +142,6 @@ func newSharded(cfg Config) *Cluster {
 	if len(groups) < 2 {
 		panic("core: shard plan must create at least two shards")
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = cfg.Shards
-	}
 
 	s := &Cluster{
 		Net:       cfg.Net,
@@ -226,7 +206,7 @@ func newSharded(cfg Config) *Cluster {
 			}
 		}
 	}
-	s.eng = parsim.NewEngine(shards, s.Lookahead, workers)
+	s.eng = parsim.NewEngine(shards, s.Lookahead, cfg.Workers)
 	// Shard boundary: a packet terminating at a host of another cell
 	// crosses via the engine, deep-copied from pooled storage — wire
 	// transit is the serialization point. Intra-cell packets never get

@@ -75,9 +75,8 @@ type Fabric struct {
 	// release, watchdog resets, drops with reason, and deliveries.
 	tracer trace.Tracer
 
-	stats Stats
-	reg   *metrics.Registry
-	mx    *metrics.Scope
+	ctr counters
+	mx  *metrics.Scope // for the worm block-time histogram
 }
 
 // New returns a fabric over network nw driven by kernel k.
@@ -105,7 +104,7 @@ func New(k *sim.Kernel, nw *topology.Network, cfg Config) *Fabric {
 // fabrics keep the private registry New installed). Per-link busy time and
 // utilization are published as derived gauges, one per directed channel.
 func (f *Fabric) BindMetrics(reg *metrics.Registry) {
-	f.reg = reg
+	f.ctr.bind(reg)
 	f.mx = reg.Scope(nil)
 	for _, l := range f.nw.Links {
 		for dir := 0; dir < 2; dir++ {
@@ -132,7 +131,7 @@ func (f *Fabric) BindMetrics(reg *metrics.Registry) {
 }
 
 // Metrics returns the registry the fabric currently records into.
-func (f *Fabric) Metrics() *metrics.Registry { return f.reg }
+func (f *Fabric) Metrics() *metrics.Registry { return f.ctr.reg }
 
 // Kernel returns the driving kernel.
 func (f *Fabric) Kernel() *sim.Kernel { return f.k }
@@ -144,14 +143,7 @@ func (f *Fabric) Network() *topology.Network { return f.nw }
 func (f *Fabric) Config() Config { return f.cfg }
 
 // Stats returns a snapshot of fabric counters.
-func (f *Fabric) Stats() Stats {
-	s := f.stats
-	s.Dropped = make(map[DropReason]uint64, len(f.stats.Dropped))
-	for k, v := range f.stats.Dropped {
-		s.Dropped[k] = v
-	}
-	return s
-}
+func (f *Fabric) Stats() Stats { return f.ctr.stats() }
 
 // InFlight returns the number of worms currently in the network.
 func (f *Fabric) InFlight() int { return len(f.worms) }
@@ -220,8 +212,7 @@ func keyFor(l *topology.Link, from topology.NodeID) chanKey {
 func (f *Fabric) Inject(src topology.NodeID, pkt *Packet) {
 	pkt.Src = src
 	pkt.Injected = f.k.Now()
-	f.stats.Injected++
-	f.mx.Add("fabric.pkts_injected", 1)
+	f.ctr.inject()
 	n := f.nw.Node(src)
 	if n.Kind != topology.Host {
 		panic(fmt.Sprintf("fabric: inject from non-host %s", n.Name))
@@ -252,11 +243,7 @@ func (f *Fabric) Inject(src topology.NodeID, pkt *Packet) {
 }
 
 func (f *Fabric) drop(pkt *Packet, reason DropReason) {
-	if f.stats.Dropped == nil {
-		f.stats.Dropped = make(map[DropReason]uint64)
-	}
-	f.stats.Dropped[reason]++
-	f.reg.Counter("fabric.pkts_dropped", metrics.L("reason", reason.String())).Inc()
+	f.ctr.drop(reason)
 	f.emitPkt(trace.EvFabDrop, pkt, -1, 0, reason.String())
 	if pkt.OnDropped != nil {
 		pkt.OnDropped(reason)

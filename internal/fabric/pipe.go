@@ -48,9 +48,7 @@ type Pipe struct {
 	tracer      trace.Tracer
 	gray        map[int]*grayLink // per-link probabilistic loss (SetLinkLoss)
 
-	stats Stats
-	reg   *metrics.Registry
-	mx    *metrics.Scope
+	ctr counters
 }
 
 // NewPipe returns a pipe-mode fabric over the (shard-local) network nw
@@ -72,13 +70,10 @@ func NewPipe(k *sim.Kernel, nw *topology.Network, cfg Config) *Pipe {
 // BindMetrics points the pipe's instrumentation at reg. Pipe mode has no
 // channel arbiters, so unlike the wormhole fabric it publishes no per-link
 // busy/utilization gauges — only the packet counters.
-func (p *Pipe) BindMetrics(reg *metrics.Registry) {
-	p.reg = reg
-	p.mx = reg.Scope(nil)
-}
+func (p *Pipe) BindMetrics(reg *metrics.Registry) { p.ctr.bind(reg) }
 
 // Metrics returns the registry the pipe currently records into.
-func (p *Pipe) Metrics() *metrics.Registry { return p.reg }
+func (p *Pipe) Metrics() *metrics.Registry { return p.ctr.reg }
 
 // Kernel returns the driving kernel.
 func (p *Pipe) Kernel() *sim.Kernel { return p.k }
@@ -92,14 +87,7 @@ func (p *Pipe) Config() Config { return p.cfg }
 // Stats returns a snapshot of this shard's fabric counters. In a sharded
 // run, injections count on the source shard and deliveries on the
 // destination shard; cluster-wide totals come from the merged registry.
-func (p *Pipe) Stats() Stats {
-	s := p.stats
-	s.Dropped = make(map[DropReason]uint64, len(p.stats.Dropped))
-	for k, v := range p.stats.Dropped {
-		s.Dropped[k] = v
-	}
-	return s
-}
+func (p *Pipe) Stats() Stats { return p.ctr.stats() }
 
 // AttachHost registers the receive callback for a locally-owned host.
 func (p *Pipe) AttachHost(h topology.NodeID, fn func(*Packet)) {
@@ -141,11 +129,7 @@ func (p *Pipe) emitPkt(kind trace.Kind, pkt *Packet, note string) {
 }
 
 func (p *Pipe) drop(pkt *Packet, reason DropReason) {
-	if p.stats.Dropped == nil {
-		p.stats.Dropped = make(map[DropReason]uint64)
-	}
-	p.stats.Dropped[reason]++
-	p.reg.Counter("fabric.pkts_dropped", metrics.L("reason", reason.String())).Inc()
+	p.ctr.drop(reason)
 	p.emitPkt(trace.EvFabDrop, pkt, reason.String())
 	if pkt.OnDropped != nil {
 		pkt.OnDropped(reason)
@@ -159,8 +143,7 @@ func (p *Pipe) drop(pkt *Packet, reason DropReason) {
 func (p *Pipe) Inject(src topology.NodeID, pkt *Packet) {
 	pkt.Src = src
 	pkt.Injected = p.k.Now()
-	p.stats.Injected++
-	p.mx.Add("fabric.pkts_injected", 1)
+	p.ctr.inject()
 	n := p.nw.Node(src)
 	if n.Kind != topology.Host {
 		panic(fmt.Sprintf("fabric: inject from non-host %s", n.Name))
@@ -247,10 +230,7 @@ func (p *Pipe) Arrive(dst topology.NodeID, pkt *Packet) {
 		return
 	}
 	pkt.Delivered = p.k.Now()
-	p.stats.Delivered++
-	p.stats.BytesDelivered += uint64(pkt.Size)
-	p.mx.Add("fabric.pkts_delivered", 1)
-	p.mx.Add("fabric.bytes_delivered", uint64(pkt.Size))
+	p.ctr.deliver(pkt.Size)
 	p.emitPkt(trace.EvDeliver, pkt, "")
 	if fn := p.deliver[dst]; fn != nil {
 		fn(pkt)

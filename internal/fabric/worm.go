@@ -67,8 +67,7 @@ func (w *worm) request(key chanKey, next topology.NodeID) {
 	w.f.emitPkt(trace.EvLinkBlock, w.pkt, key.link, key.dir, "")
 	if !w.watchdog.Pending() {
 		w.watchdog = w.f.k.After(w.f.cfg.Watchdog, func() {
-			w.f.stats.WatchdogResets++
-			w.f.mx.Add("fabric.watchdog_resets", 1)
+			w.f.ctr.watchdogReset()
 			w.f.emitPkt(trace.EvWatchdog, w.pkt, w.waitKey.link, w.waitKey.dir, "")
 			w.die(DropWatchdog)
 		})
@@ -182,10 +181,7 @@ func (w *worm) deliverTo(h topology.NodeID) {
 		return
 	}
 	w.pkt.Delivered = f.k.Now()
-	f.stats.Delivered++
-	f.stats.BytesDelivered += uint64(w.pkt.Size)
-	f.mx.Add("fabric.pkts_delivered", 1)
-	f.mx.Add("fabric.bytes_delivered", uint64(w.pkt.Size))
+	f.ctr.deliver(w.pkt.Size)
 	f.emitPkt(trace.EvDeliver, w.pkt, -1, 0, "")
 	if fn := f.deliver[h]; fn != nil {
 		fn(w.pkt)

@@ -11,14 +11,14 @@ import (
 
 	"sanft/internal/core"
 	"sanft/internal/sim"
-	"sanft/internal/stats"
+	"sanft/internal/vmmc"
 )
 
 // LatencyResult is one row of the latency micro-benchmark.
 type LatencyResult struct {
 	Size      int
 	OneWay    time.Duration
-	Breakdown stats.Breakdown
+	Breakdown vmmc.Breakdown
 }
 
 // Latency measures average one-way latency for messages of the given size
@@ -29,7 +29,7 @@ func Latency(c *core.Cluster, size, iters int) LatencyResult {
 	expB := b.Export(fmt.Sprintf("lat-b-%d", size), maxInt(size, 1))
 	expA := a.Export(fmt.Sprintf("lat-a-%d", size), maxInt(size, 1))
 
-	var agg stats.BreakdownAvg
+	var agg vmmc.BreakdownAvg
 	var sum time.Duration
 	count := 0
 	done := false
@@ -123,7 +123,7 @@ func PingPong(c *core.Cluster, size, iters int) BandwidthResult {
 		return BandwidthResult{Size: size}
 	}
 	bytes := uint64(2) * uint64(size) * uint64(count)
-	return BandwidthResult{Size: size, MBps: stats.Bandwidth(bytes, end.Sub(start)), Messages: count}
+	return BandwidthResult{Size: size, MBps: Bandwidth(bytes, end.Sub(start)), Messages: count}
 }
 
 // Unidirectional measures one-way streaming bandwidth: the sender issues
@@ -164,7 +164,16 @@ func Unidirectional(c *core.Cluster, size, iters int) BandwidthResult {
 	}
 	// The first message's completion marks steady-state start.
 	bytes := uint64(size) * uint64(count-1)
-	return BandwidthResult{Size: size, MBps: stats.Bandwidth(bytes, last.Sub(first)), Messages: count}
+	return BandwidthResult{Size: size, MBps: Bandwidth(bytes, last.Sub(first)), Messages: count}
+}
+
+// Bandwidth converts bytes over a duration to MB/s (decimal megabytes, as
+// the paper reports).
+func Bandwidth(bytes uint64, d time.Duration) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(bytes) / d.Seconds() / 1e6
 }
 
 func maxInt(a, b int) int {

@@ -18,6 +18,16 @@ func cluster(ft bool, q int, interval time.Duration, errRate float64) *core.Clus
 	})
 }
 
+func TestBandwidth(t *testing.T) {
+	// 100 MB over 1 second = 100 MB/s.
+	if got := Bandwidth(100e6, time.Second); got != 100 {
+		t.Fatalf("bandwidth = %v", got)
+	}
+	if got := Bandwidth(1000, 0); got != 0 {
+		t.Fatalf("zero-duration bandwidth = %v, want 0", got)
+	}
+}
+
 func TestLatency4ByteNoFT(t *testing.T) {
 	res := Latency(cluster(false, 32, time.Millisecond, 0), 4, 20)
 	if res.OneWay < 7500*time.Nanosecond || res.OneWay > 8500*time.Nanosecond {

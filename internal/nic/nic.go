@@ -13,7 +13,6 @@ import (
 	"sanft/internal/retrans"
 	"sanft/internal/routing"
 	"sanft/internal/sim"
-	"sanft/internal/stats"
 	"sanft/internal/topology"
 	"sanft/internal/trace"
 )
@@ -122,15 +121,8 @@ type NIC struct {
 	dropper fault.Dropper
 	opts    Options
 
-	ctr *stats.Counters
-	mx  *metrics.Scope
-}
-
-// inc bumps both the legacy per-NIC counter and the metrics-layer counter
-// (namespaced nic.*, labeled with this host).
-func (n *NIC) inc(name string, k uint64) {
-	n.ctr.Inc(name, k)
-	n.mx.Add("nic."+name, k)
+	mx   *metrics.Scope
+	ctrs [numCounters]*metrics.Counter // event counters, bound on first inc
 }
 
 // emit records a trace event if a tracer is wired.
@@ -175,7 +167,6 @@ func New(k *sim.Kernel, fab Wire, node topology.NodeID, opts Options) *NIC {
 		deposited:   make(map[topology.NodeID]depositMark),
 		dropper:     opts.Dropper,
 		opts:        opts,
-		ctr:         stats.NewCounters(),
 	}
 	if n.dropper == nil {
 		n.dropper = fault.None{}
@@ -290,8 +281,8 @@ func (n *NIC) SetDropper(d fault.Dropper) {
 	n.dropper = d
 }
 
-// Counters returns the NIC's event counters.
-func (n *NIC) Counters() *stats.Counters { return n.ctr }
+// Counters returns a read-only view of the NIC's event counters.
+func (n *NIC) Counters() Counters { return Counters{&n.ctrs} }
 
 // CPU returns the firmware processor resource (for utilization reporting).
 func (n *NIC) CPU() *sim.Resource { return n.cpu }
@@ -361,7 +352,7 @@ func (n *NIC) Send(p *sim.Proc, frame *proto.Frame) {
 	// Reserve a send buffer; block while the pool is exhausted. This is
 	// where a small NIC send queue throttles the sender.
 	for n.freeBuffers == 0 {
-		n.inc("send-buffer-stall", 1)
+		n.inc(ctrSendBufferStall, 1)
 		n.bufGate.Wait(p)
 	}
 	n.freeBuffers--
@@ -423,7 +414,7 @@ func (n *NIC) attachPiggyback(frame *proto.Frame) {
 	frame.AckSeq = seq
 	n.rcv.AckEmitted(frame.Dst)
 	n.cancelDelayedAck(frame.Dst)
-	n.inc("acks-piggybacked", 1)
+	n.inc(ctrAcksPiggybacked, 1)
 }
 
 // SendControl queues a control frame (ack or probe) for transmission. If
@@ -436,7 +427,7 @@ func (n *NIC) SendControl(frame *proto.Frame, route routing.Route) {
 	if route == nil {
 		r, ok := n.routes[frame.Dst]
 		if !ok {
-			n.inc("control-no-route", 1)
+			n.inc(ctrControlNoRoute, 1)
 			return
 		}
 		route = r
@@ -479,7 +470,7 @@ func (n *NIC) kickTX() {
 		// retransmission queue as if transmitted, but never touches the
 		// wire.
 		if frame.Type == proto.FrameData && n.dropper.ShouldDrop() {
-			n.inc("err-injected-drops", 1)
+			n.inc(ctrErrInjectedDrops, 1)
 			n.emit(trace.EvErrDrop, frame.Dst, frame.Gen, frame.Seq, msgOf(frame))
 			if n.ft && it.entry != nil {
 				n.snd.OnTransmitted(it.entry, n.k.Now())
@@ -494,7 +485,7 @@ func (n *NIC) kickTX() {
 		if route == nil {
 			r, ok := n.routes[frame.Dst]
 			if !ok {
-				n.inc("tx-no-route", 1)
+				n.inc(ctrTxNoRoute, 1)
 				if n.ft && it.entry != nil {
 					// Keep the entry queued; the timer will retry once a
 					// route exists. Mark transmitted so the timer owns it.
@@ -535,7 +526,7 @@ func (n *NIC) kickTX() {
 			},
 		}
 		n.txBusy = true
-		n.inc("pkts-sent", 1)
+		n.inc(ctrPktsSent, 1)
 		if frame.Type == proto.FrameData {
 			n.emit(trace.EvInject, frame.Dst, frame.Gen, frame.Seq, msgOf(frame))
 		}
@@ -664,7 +655,7 @@ func (n *NIC) noteAcked(freed []*retrans.Entry) {
 // The final frame requests an immediate ack so the sender resynchronizes
 // in one round trip.
 func (n *NIC) retransmitBatch(b retrans.Batch) {
-	n.inc("retransmit-bursts", 1)
+	n.inc(ctrRetransmitBursts, 1)
 	// detect_ns is the honest timeout-detection latency: the timeout in
 	// force plus the scan-quantization wait; scan_wait_ns isolates that
 	// second component (up to a full period for the fixed free-running
@@ -688,7 +679,7 @@ func (n *NIC) retransmitBatch(b retrans.Batch) {
 				f.AckReq = proto.AckImmediate
 			}
 			n.attachPiggybackIfAny(&f)
-			n.inc("pkts-retransmitted", 1)
+			n.inc(ctrPktsRetransmitted, 1)
 			n.emit(trace.EvRetransmit, f.Dst, f.Gen, f.Seq, msgOf(&f))
 			e.InFlight++
 			items = append(items, txItem{frame: &f, entry: e})
@@ -741,7 +732,7 @@ func (n *NIC) processFrame(frame *proto.Frame, pkt *fabric.Packet) {
 	// The CRC check covers every frame type; corrupted packets are
 	// dropped after the check cost is paid.
 	if pkt.Corrupted {
-		n.inc("crc-drops", 1)
+		n.inc(ctrCRCDrops, 1)
 		n.emit(trace.EvCrcDrop, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 		frame.Release()
 		return
@@ -767,7 +758,7 @@ func (n *NIC) processFrame(frame *proto.Frame, pkt *fabric.Packet) {
 	case proto.FrameRouteUpdate:
 		if frame.Probe != nil {
 			n.SetRoute(frame.Src, frame.Probe.ReturnRoute)
-			n.inc("route-updates", 1)
+			n.inc(ctrRouteUpdates, 1)
 		}
 	case proto.FrameLiveness:
 		n.onLiveness(frame)
@@ -779,7 +770,7 @@ func (n *NIC) processAck(from topology.NodeID, gen uint32, seq uint64) {
 	if !n.ft {
 		return
 	}
-	n.inc("acks-received", 1)
+	n.inc(ctrAcksReceived, 1)
 	n.emit(trace.EvAckRx, from, gen, seq, 0)
 	freed := n.snd.OnAck(from, gen, seq, n.k.Now())
 	n.noteAcked(freed)
@@ -810,12 +801,12 @@ func (n *NIC) processData(frame *proto.Frame) {
 			n.sendAck(frame.Src)
 		}
 		if !verdict.Accept {
-			n.inc("rx-dropped", 1)
+			n.inc(ctrRxDropped, 1)
 			if n.rcv.Expected(frame.Src) > frame.Seq {
-				n.inc("rx-dup-drops", 1)
+				n.inc(ctrRxDupDrops, 1)
 				n.emit(trace.EvDupDrop, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 			} else {
-				n.inc("rx-ooo-drops", 1)
+				n.inc(ctrRxOooDrops, 1)
 				n.emit(trace.EvOooDrop, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 			}
 			frame.Release()
@@ -823,7 +814,7 @@ func (n *NIC) processData(frame *proto.Frame) {
 		}
 	}
 	frame.Stamps.NICRecvDone = n.k.Now()
-	n.inc("pkts-accepted", 1)
+	n.inc(ctrPktsAccepted, 1)
 	n.emit(trace.EvAccept, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 	// Deposit into host memory through the PCI engine, then notify.
 	size := len(frame.Data.Data)
@@ -870,7 +861,7 @@ func (n *NIC) sendAck(to topology.NodeID) {
 	n.cancelDelayedAck(to)
 	n.rcv.AckEmitted(to)
 	n.cpu.Submit(n.cost.AckSendCost, func() {
-		n.inc("acks-sent", 1)
+		n.inc(ctrAcksSent, 1)
 		n.emit(trace.EvAckTx, to, gen, seq, 0)
 		ack := &proto.Frame{
 			Type:   proto.FrameAck,
@@ -911,7 +902,7 @@ func (n *NIC) answerHostProbe(frame *proto.Frame) {
 	if frame.Probe == nil {
 		return
 	}
-	n.inc("probes-answered", 1)
+	n.inc(ctrProbesAnswered, 1)
 	reply := &proto.Frame{
 		Type: proto.FrameHostProbeReply,
 		Dst:  frame.Probe.Mapper,
@@ -951,7 +942,7 @@ func (n *NIC) ResetPath(dst topology.NodeID, route routing.Route) {
 		e.InFlight++
 		n.enqueueTX(txItem{frame: &f, entry: e}, false)
 	}
-	n.inc("path-resets", 1)
+	n.inc(ctrPathResets, 1)
 	n.emit(trace.EvGenReset, dst, n.snd.Generation(dst), 0, 0)
 }
 
@@ -963,7 +954,7 @@ func (n *NIC) MarkUnreachable(dst topology.NodeID) {
 	if n.ft {
 		dropped := n.snd.MarkUnreachable(dst)
 		n.releaseBuffers(len(dropped))
-		n.inc("pkts-dropped-unreachable", uint64(len(dropped)))
+		n.inc(ctrPktsDroppedUnreachable, uint64(len(dropped)))
 		n.emit(trace.EvUnreachable, dst, 0, uint64(len(dropped)), 0)
 	}
 }

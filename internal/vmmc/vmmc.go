@@ -28,7 +28,6 @@ import (
 	"sanft/internal/nic"
 	"sanft/internal/proto"
 	"sanft/internal/sim"
-	"sanft/internal/stats"
 	"sanft/internal/topology"
 	"sanft/internal/trace"
 )
@@ -45,7 +44,7 @@ type Notification struct {
 	// host deposit.
 	Latency time.Duration
 	// Breakdown is the five-stage decomposition of the first chunk.
-	Breakdown stats.Breakdown
+	Breakdown Breakdown
 }
 
 // Export is a region of host memory opened for remote deposits.
@@ -289,7 +288,7 @@ func (ep *Endpoint) onDeliver(f *proto.Frame) {
 		Offset:  d.BufOffset - d.MsgOffset,
 		Len:     d.MsgLen,
 		Latency: f.Stamps.HostRecvDone.Sub(first.HostStart),
-		Breakdown: stats.Breakdown{
+		Breakdown: Breakdown{
 			HostSend: first.HostDone.Sub(first.HostStart),
 			NICSend:  first.Injected.Sub(first.HostDone),
 			Wire:     first.Delivered.Sub(first.Injected),

@@ -250,10 +250,21 @@ func runReplica(cell gridCell, seed int64, dur time.Duration, nHosts int) replic
 	c.Stop()
 
 	out := replicaOut{res: d.Result(cell.topo, cell.fault, dur)}
+	var vios []string
+	// A run cut off before its generators finished has not quiesced:
+	// report that first, so the audit's in-flight findings below read as
+	// its consequence rather than as a protocol fault.
+	if out.res.Issued < uint64(d.Spec.Ops) {
+		vios = append(vios, fmt.Sprintf("op budget not drained: issued %d of %d",
+			out.res.Issued, d.Spec.Ops))
+	}
 	// The grid's faults all heal (flaps end, the drop ramp returns to
 	// zero), so the full contract applies: complete delivery, no
 	// duplicates, bounded remapping.
 	for _, v := range chaos.CheckInvariants(e, d.Run(), chaos.CheckOpts{MaxRemapAttempts: 400}) {
+		vios = append(vios, v.String())
+	}
+	for _, v := range vios {
 		out.vios = append(out.vios, fmt.Sprintf("%s %s %s seed=%d %s",
 			spec.Scenario(), cell.topo, cell.fault, seed, v))
 	}

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,6 +177,34 @@ func TestGridSmoke(t *testing.T) {
 	}
 	if g.Results[0].Fault != "none" || g.Results[1].Fault != "linkflap" {
 		t.Fatalf("cell order %q, %q", g.Results[0].Fault, g.Results[1].Fault)
+	}
+}
+
+// A replica stopped before its generators issued the whole op budget has
+// not quiesced. The audit must say so first, instead of passing the
+// truncated run off as clean or blaming only the packets still in flight.
+func TestGridReportsUndrainedBudget(t *testing.T) {
+	g, err := RunGrid(GridOpts{
+		Topos:  []string{"fattree:4"},
+		Specs:  []Spec{{Proto: ProtoKV, Mode: ModeClosed, Clients: 4, Ops: 4000}},
+		Faults: []string{"none"},
+		Seed:   5,
+		Hosts:  6,
+		Dur:    5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := g.Results[0]
+	if res.Issued >= 4000 {
+		t.Fatalf("issued %d of 4000: the budget drained, the cell no longer exercises truncation", res.Issued)
+	}
+	if len(g.Violations) == 0 {
+		t.Fatal("a truncated replica passed the audit")
+	}
+	want := fmt.Sprintf("op budget not drained: issued %d of 4000", res.Issued)
+	if !strings.Contains(g.Violations[0], want) {
+		t.Fatalf("first violation %q, want it to report %q", g.Violations[0], want)
 	}
 }
 
