@@ -6,11 +6,11 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"sanft/internal/enginestat"
 	"sanft/internal/fabric"
-	"sanft/internal/fault"
 	"sanft/internal/liveness"
 	"sanft/internal/mapping"
 	"sanft/internal/metrics"
@@ -24,14 +24,14 @@ import (
 	"sanft/internal/vmmc"
 )
 
-// EngineKind selects the execution engine a Cluster runs on.
+// EngineKind selects how a Cluster partitions its hosts into cells.
 type EngineKind int
 
 const (
-	// EngineSequential is the default: one kernel drives every host, with
-	// full observability (endpoints, mappers, cluster-wide tracer).
+	// EngineSequential is the default: the one-cell plan, where a single
+	// kernel drives every host over the wormhole fabric.
 	EngineSequential EngineKind = iota
-	// EngineSharded partitions the hosts into shard cells driven by the
+	// EngineSharded partitions the hosts into several cells driven by the
 	// conservative parallel engine. The partition — not the worker
 	// count — defines the semantics: results are byte-identical for any
 	// number of workers.
@@ -48,14 +48,13 @@ func (k EngineKind) String() string {
 	return "unknown"
 }
 
-// ShardPlan describes how EngineSharded partitions hosts into shards
-// (cells). The plan is part of the experiment's identity: changing it
-// changes which traffic crosses epoch barriers, so differential gates
-// must pin it. The zero plan is one host per shard — the finest
-// partition, and the one that matches the sequential engine host-for-host.
+// ShardPlan describes how EngineSharded partitions hosts into cells. The
+// plan is part of the experiment's identity: changing it changes which
+// traffic crosses epoch barriers, so differential gates must pin it. The
+// zero plan is one host per cell — the finest partition.
 type ShardPlan struct {
 	// HostsPerShard, when > 0, chunks the host list in order into groups
-	// of this size (last group may be smaller). Coarser shards shorten
+	// of this size (last group may be smaller). Coarser cells shorten
 	// the per-epoch fixed cost and keep intra-group traffic off the
 	// barrier path at the price of less available parallelism.
 	HostsPerShard int
@@ -64,7 +63,7 @@ type ShardPlan struct {
 	Groups [][]topology.NodeID
 }
 
-// zero reports whether the plan is the default one-host-per-shard plan.
+// zero reports whether the plan is the default one-host-per-cell plan.
 func (p ShardPlan) zero() bool { return p.HostsPerShard == 0 && len(p.Groups) == 0 }
 
 // Config describes a cluster build.
@@ -101,8 +100,7 @@ type Config struct {
 	Fabric fabric.Config
 
 	// Mapper enables on-demand mapping: stale paths and missing routes
-	// trigger a background remap exactly as §4.2 describes. Requires FT,
-	// and the sequential engine.
+	// trigger a background remap exactly as §4.2 describes. Requires FT.
 	Mapper    bool
 	MapperCfg mapping.Config
 
@@ -112,19 +110,22 @@ type Config struct {
 	Remap RemapPolicy
 	// OnUnreachable fires when src quarantines dst after repeated failed
 	// remaps — the explicit graceful-degradation upcall, instead of
-	// silently retrying forever.
+	// silently retrying forever. On a multi-cell plan the calls are
+	// queued and made at the next RunFor/Stop boundary, in simulated-time
+	// order.
 	OnUnreachable func(src, dst topology.NodeID)
 
 	// Metrics tunes the observability layer. The zero value still builds
 	// a full registry (all subsystems record unconditionally); set
-	// SampleEvery to also collect a periodic time series.
+	// SampleEvery to also collect a periodic time series (one-cell plan
+	// only: New rejects it on a multi-cell plan).
 	Metrics metrics.Config
 
 	// Tracer, if non-nil, receives every trace event from every layer:
 	// NIC protocol actions, fabric hop events, VMMC message lifecycle,
 	// and remap lifecycle. Typically a *trace.Ring or *trace.FlightRecorder.
-	// Sequential engine only; the sharded engine traces into per-shard
-	// rings (see TraceEvents).
+	// On a multi-cell plan the events reach it in merged timeline order
+	// at each RunFor/Stop boundary (see InstallTracer).
 	Tracer trace.Tracer
 
 	// Seed drives all deterministic randomness.
@@ -146,31 +147,36 @@ type Config struct {
 	// can read the end state; the owner closes it via Telemetry().Close().
 	Telemetry string
 
-	// Engine selects the execution engine; a non-zero Plan implies
-	// EngineSharded.
+	// Engine selects the plan: EngineSequential (the default) is the
+	// one-cell plan; EngineSharded, or any non-zero Plan, is a multi-cell
+	// plan.
 	Engine EngineKind
-	// Plan partitions hosts into shards under EngineSharded (zero = one
-	// host per shard).
+	// Plan partitions hosts into cells under EngineSharded (zero = one
+	// host per cell).
 	Plan ShardPlan
-	// Workers is the OS-thread count driving the shard kernels under
-	// EngineSharded. Results are byte-identical for any value — the
+	// Workers is the OS-thread count driving the cell kernels of a
+	// multi-cell plan. Results are byte-identical for any value — the
 	// partition defines the semantics — so Workers (default 0 =
-	// GOMAXPROCS) only changes wall-clock time. Ignored by the
-	// sequential engine.
+	// GOMAXPROCS) only changes wall-clock time. The one-cell plan runs on
+	// the calling goroutine and ignores it.
 	Workers int
 }
 
-// Cluster is a fully wired simulation instance, on either engine.
+// Cluster is a fully wired simulation instance: hosts grouped into cells,
+// each cell owning a kernel, a fabric, its hosts' protocol stacks (NIC,
+// VMMC endpoint, mapper, remap manager), a metrics registry and a
+// delivery log. The plan decides the per-cell choices:
 //
-// Sequential engine: K, Fab and Dir are live; every per-host accessor
-// (Endpoint, Mapper, Observer, ...) works.
+//	                 one cell (default)        several cells
+//	fabric           wormhole Fabric           contention-free Pipe
+//	kernel seed      Config.Seed               parsim.ShardSeed(Seed, i)
+//	topology         Config.Net itself         one clone per cell
+//	tracing          Config.Tracer, live       per-cell ring (TraceEvents)
+//	driven by        the kernel, no barrier    parsim epoch barriers
 //
-// Sharded engine: K, Fab and Dir are nil — hosts live in per-shard cells
-// with private kernels and fabric replicas, and the cross-engine subset
-// of the API (NIC, RunFor, Stop, Now) plus the sharded-only methods
-// (StartFlows, Deliveries, MergedObserver, DumpObservables, ...) apply.
-// Methods that would need a single cluster-wide kernel panic with a
-// pointer to the replacement.
+// Every method works on every plan. K and Fab are the lone cell's kernel
+// and fabric on the one-cell plan and nil otherwise; accessors with
+// nothing to report on a plan return the zero value their doc names.
 type Cluster struct {
 	K     *sim.Kernel
 	Net   *topology.Network
@@ -178,36 +184,27 @@ type Cluster struct {
 	Hosts []topology.NodeID
 	Dir   *vmmc.Directory
 
-	// Lookahead is the conservative epoch window of the sharded engine:
-	// the minimum cross-shard fabric traversal time. Zero on the
-	// sequential engine.
+	// Lookahead is the conservative epoch window of a multi-cell plan:
+	// the minimum cross-cell fabric traversal time. Zero on one cell.
 	Lookahead time.Duration
 
-	nics    map[topology.NodeID]*nic.NIC
-	eps     map[topology.NodeID]*vmmc.Endpoint
-	mappers map[topology.NodeID]*mapping.Mapper
-	remaps  map[topology.NodeID]*remapManager
-
-	onUnreachable func(src, dst topology.NodeID)
-	obs           *metrics.Observer
-	tracer        trace.Tracer
-
-	// remapRunning counts mapping runs in flight cluster-wide, for
-	// RemapPolicy.MaxConcurrent pacing.
-	remapRunning int
-
-	// Sharded-engine state (nil/empty on the sequential engine).
 	cfg    Config
 	cells  []*cell
-	byHost map[topology.NodeID]int
-	eng    *parsim.Engine
+	stacks map[topology.NodeID]*stack
+	run    runner
+	eng    *parsim.Engine // nil on the one-cell plan
+
+	tracer trace.Tracer
 
 	// Engine-profiling state (nil/zero when Config.Profile is off).
-	prof      *enginestat.EngineProf // sharded engine's recording area
+	prof      *enginestat.EngineProf // parallel engine's recording area
 	profiled  bool
 	poolBase  enginestat.PoolStat // pool counters at construction time
 	telemetry *enginestat.Server
 
+	// mu serializes remap-manager updates of the three counters below
+	// across cells.
+	mu sync.Mutex
 	// Remaps counts completed on-demand remap operations.
 	Remaps int
 	// Unreachables counts remaps that ended in an unreachable verdict.
@@ -217,20 +214,78 @@ type Cluster struct {
 	RemapStats RemapStats
 }
 
-// New builds a cluster on the engine cfg selects: the sequential
-// single-kernel engine by default, or the conservative parallel engine
-// when cfg.Engine is EngineSharded or cfg.Plan is non-zero. All routes
-// between host pairs are pre-installed (shortest paths), as a freshly
-// mapped system would have them.
-func New(cfg Config) *Cluster {
-	if cfg.Engine == EngineSharded || !cfg.Plan.zero() {
-		cfg.Engine = EngineSharded
-		return newSharded(cfg)
-	}
-	return newSequential(cfg)
+// stack is one host's protocol stack, run by the cell that owns it.
+type stack struct {
+	cell   *cell
+	nic    *nic.NIC
+	ep     *vmmc.Endpoint
+	mapper *mapping.Mapper // nil when mapping is off
+	remap  *remapManager   // nil when mapping is off
 }
 
-func newSequential(cfg Config) *Cluster {
+// runner advances the cells: the lone cell's kernel, or the parallel
+// engine over several.
+type runner interface {
+	RunFor(time.Duration)
+	Now() sim.Time
+}
+
+// New builds a cluster on the plan cfg selects: one cell by default, or
+// several under the conservative parallel engine when cfg.Engine is
+// EngineSharded or cfg.Plan is non-zero. All routes between host pairs
+// are pre-installed (shortest paths), as a freshly mapped system would
+// have them. New panics on a configuration no plan can run.
+func New(cfg Config) *Cluster {
+	cfg, groups := cfg.resolve()
+	c := &Cluster{
+		Net:    cfg.Net,
+		Hosts:  cfg.Hosts,
+		Dir:    vmmc.NewDirectory(),
+		cfg:    cfg,
+		stacks: make(map[topology.NodeID]*stack, len(cfg.Hosts)),
+		tracer: cfg.Tracer,
+	}
+	for i, g := range groups {
+		c.cells = append(c.cells, c.newCell(i, g, len(groups) > 1))
+	}
+	minHops := c.installRoutes()
+	if cfg.Mapper {
+		pol := cfg.Remap.Defaults()
+		for _, h := range cfg.Hosts {
+			s := c.stacks[h]
+			s.mapper = mapping.New(s.cell.k, s.nic, cfg.MapperCfg)
+			s.remap = newRemapManager(c, s, pol, cfg.Seed*9176+int64(h)*104729+31)
+			s.nic.SetOnPathStale(s.remap.trigger)
+			s.nic.SetOnNoRoute(s.remap.trigger)
+			if cfg.Liveness != nil {
+				s.nic.SetOnSessionDown(s.remap.trigger)
+			}
+		}
+	}
+	if len(c.cells) == 1 {
+		cl := c.cells[0]
+		c.K, c.Fab, c.run = cl.k, cl.fab.(*fabric.Fabric), cl.k
+		if cfg.Metrics.SampleEvery > 0 {
+			cl.obs.StartSampling(cl.k, cfg.Metrics.SampleEvery)
+		}
+	} else {
+		c.Lookahead = cfg.Fabric.MinCrossLatency(minHops)
+		c.connectCells()
+		c.run = c.eng
+	}
+	if cfg.Profile {
+		c.enableProfiling()
+	}
+	if cfg.Telemetry != "" {
+		c.startTelemetry(cfg.Telemetry)
+	}
+	return c
+}
+
+// resolve fills the defaults, rejects configurations no plan can run,
+// and returns the host groups of the plan: one group for the one-cell
+// plan, two or more otherwise.
+func (cfg Config) resolve() (Config, [][]topology.NodeID) {
 	if cfg.Net == nil {
 		n := cfg.NumHosts
 		if n == 0 {
@@ -250,147 +305,93 @@ func newSequential(cfg Config) *Cluster {
 		}
 		// Fold the cluster seed into the session-jitter base so different
 		// cluster seeds give independent control-packet phasing (each NIC
-		// then derives per-session streams from this base).
+		// then derives per-session streams from this base). The base
+		// never depends on the cell, so results stay byte-identical
+		// across worker counts.
 		lc := *cfg.Liveness
 		lc.Seed = lc.Seed*1000003 + cfg.Seed
 		cfg.Liveness = &lc
 	}
-	k := sim.New(cfg.Seed)
-	obs := metrics.NewObserver(cfg.Metrics)
-	reg := obs.Registry()
-	c := &Cluster{
-		cfg:           cfg,
-		K:             k,
-		Net:           cfg.Net,
-		Fab:           fabric.New(k, cfg.Net, cfg.Fabric),
-		Hosts:         cfg.Hosts,
-		Dir:           vmmc.NewDirectory(),
-		nics:          make(map[topology.NodeID]*nic.NIC),
-		eps:           make(map[topology.NodeID]*vmmc.Endpoint),
-		mappers:       make(map[topology.NodeID]*mapping.Mapper),
-		remaps:        make(map[topology.NodeID]*remapManager),
-		onUnreachable: cfg.OnUnreachable,
-		obs:           obs,
+	if cfg.Mapper && !cfg.FT {
+		panic("core: on-demand mapping requires the retransmission protocol")
 	}
-	// Rebind before any traffic so every fabric event lands in the
-	// cluster-wide registry rather than the fabric's private one.
-	c.Fab.BindMetrics(reg)
-	if cfg.Tracer != nil {
-		c.InstallTracer(cfg.Tracer)
+	if cfg.Engine == EngineSequential && cfg.Plan.zero() {
+		return cfg, [][]topology.NodeID{cfg.Hosts}
 	}
-	for _, h := range cfg.Hosts {
-		var dropper fault.Dropper
-		if cfg.ErrorRate > 0 {
-			// Seed per (cluster, host): different cluster seeds — and
-			// different NICs within one cluster — get independent drop
-			// schedules at the same rate.
-			dropper = fault.NewRateSeeded(cfg.ErrorRate, cfg.Seed*1000003+int64(h)*7919+12289)
-		}
-		n := nic.New(k, c.Fab, h, nic.Options{
-			FT:       cfg.FT,
-			Retrans:  cfg.Retrans,
-			Cost:     cfg.Cost,
-			Dropper:  dropper,
-			Tracer:   cfg.Tracer,
-			Metrics:  reg,
-			Liveness: cfg.Liveness,
-		})
-		c.nics[h] = n
-		c.eps[h] = vmmc.NewEndpoint(k, n, c.Dir)
+	cfg.Engine = EngineSharded
+	if len(cfg.Hosts) < 2 {
+		panic("core: a multi-cell plan needs at least two hosts")
 	}
-	// Pre-install all-pairs shortest routes with one BFS per source host
-	// (O(H·E) total). ShortestFrom's visit order and tie-breaks are
-	// identical to per-pair Shortest, so installed routes are byte-for-byte
-	// the same as the historical O(H²·E) rescan produced.
-	for _, a := range cfg.Hosts {
-		routes := routing.ShortestFrom(cfg.Net, a)
-		for _, b := range cfg.Hosts {
-			if a == b {
-				continue
-			}
-			if r, ok := routes[b]; ok {
-				c.nics[a].SetRoute(b, r)
-			}
-		}
-	}
-	if cfg.Mapper {
-		if !cfg.FT {
-			panic("core: on-demand mapping requires the retransmission protocol")
-		}
-		pol := cfg.Remap.Defaults()
-		for _, h := range cfg.Hosts {
-			m := mapping.New(k, c.nics[h], cfg.MapperCfg)
-			c.mappers[h] = m
-			rm := newRemapManager(c, h, m, pol, cfg.Seed*9176+int64(h)*104729+31)
-			c.remaps[h] = rm
-			c.nics[h].SetOnPathStale(rm.trigger)
-			c.nics[h].SetOnNoRoute(rm.trigger)
-			if cfg.Liveness != nil {
-				c.nics[h].SetOnSessionDown(rm.trigger)
-			}
-		}
+	groups := planGroups(cfg.Plan, cfg.Hosts)
+	if len(groups) < 2 {
+		panic("core: shard plan must create at least two cells")
 	}
 	if cfg.Metrics.SampleEvery > 0 {
-		obs.StartSampling(k, cfg.Metrics.SampleEvery)
+		panic("core: Metrics.SampleEvery needs the one-cell plan; on several cells, sample MergedObserver() between RunFor calls")
 	}
-	if cfg.Profile {
-		c.enableProfiling()
-	}
-	if cfg.Telemetry != "" {
-		c.startTelemetry(cfg.Telemetry)
-	}
-	return c
+	return cfg, groups
 }
 
-// Sharded reports whether the cluster runs on the sharded engine.
-func (c *Cluster) Sharded() bool { return c.eng != nil }
-
-func (c *Cluster) mustSequential(method string) {
-	if c.eng != nil {
-		panic("core: " + method + " is sequential-engine only; this cluster runs EngineSharded")
+// installRoutes pre-installs shortest routes from every host to every
+// other host, sources and destinations both in Config.Hosts order: with
+// liveness on, each SetRoute starts a session whose first transmission is
+// scheduled on the cell kernel, so the order is part of the event
+// sequence. One BFS per source host keeps thousand-host construction
+// O(H·E) (ShortestFrom matches per-pair Shortest byte for byte). It
+// returns the fewest switches on any route between hosts of different
+// cells — the hop floor of the lookahead — or 0 on one cell.
+func (c *Cluster) installRoutes() int {
+	best := 0
+	for _, a := range c.Hosts {
+		sa := c.stacks[a]
+		routes := routing.ShortestFrom(c.Net, a)
+		for _, b := range c.Hosts {
+			r, ok := routes[b]
+			if a == b || !ok {
+				continue
+			}
+			sa.nic.SetRoute(b, r)
+			if c.stacks[b].cell != sa.cell && (best == 0 || len(r) < best) {
+				best = len(r)
+			}
+		}
 	}
-}
-
-func (c *Cluster) mustSharded(method string) {
-	if c.eng == nil {
-		panic("core: " + method + " requires EngineSharded (build with Config.Engine or WithEngine/WithShardPlan)")
-	}
+	return best
 }
 
 // Observer returns the cluster's observability handle: its registry is
-// the single place every subsystem (NIC, fabric, retransmission protocol,
-// mapper, remap manager) records into, and its exporters render the
-// collected telemetry. Sequential engine only — shard registries are
-// per-cell; use MergedObserver.
+// where every subsystem (NIC, fabric, retransmission protocol, mapper,
+// remap manager) records, and its exporters render the collected
+// telemetry. On the one-cell plan it is the live observer. On several
+// cells, where each cell records into its own registry, it is
+// MergedObserver: a snapshot taken at the call, not written by the run.
 func (c *Cluster) Observer() *metrics.Observer {
-	c.mustSequential("Observer (use MergedObserver)")
-	return c.obs
+	if len(c.cells) == 1 {
+		return c.cells[0].obs
+	}
+	return c.MergedObserver()
 }
 
 // Metrics returns the cluster-wide metrics registry (shorthand for
-// Observer().Registry()). Sequential engine only.
-func (c *Cluster) Metrics() *metrics.Registry {
-	c.mustSequential("Metrics (use MergedObserver)")
-	return c.obs.Registry()
-}
+// Observer().Registry()).
+func (c *Cluster) Metrics() *metrics.Registry { return c.Observer().Registry() }
 
 // InstallTracer wires tr into every layer of an already-built cluster —
-// each NIC and the fabric — and remembers it for Tracer()/FlightRecorder().
+// each NIC and each fabric — and remembers it for Tracer()/FlightRecorder().
 // Chaos campaigns use this to attach a tracer between cluster construction
-// and traffic start; nil removes the current tracer everywhere.
-// Sequential engine only — shard cells trace into private rings (see
-// TraceEvents).
+// and traffic start; nil removes the current tracer everywhere. On the
+// one-cell plan tr sees events as they happen. On several cells the
+// layers keep tracing into their cell rings, and every RunFor and Stop
+// hands tr the events recorded since in merged timeline order (the order
+// TraceEvents uses), so the stream is identical for every worker count.
 func (c *Cluster) InstallTracer(tr trace.Tracer) {
-	c.mustSequential("InstallTracer (sharded clusters trace into per-shard rings)")
 	c.tracer = tr
-	c.Fab.SetTracer(tr)
-	for _, n := range c.nics {
-		n.SetTracer(tr)
+	for _, cl := range c.cells {
+		cl.setTracer(tr)
 	}
 }
 
-// Tracer returns the cluster-wide tracer (nil if tracing is off, and
-// always nil on the sharded engine).
+// Tracer returns the cluster-wide tracer (nil if tracing is off).
 func (c *Cluster) Tracer() trace.Tracer { return c.tracer }
 
 // FlightRecorder returns the cluster tracer as a flight recorder, or nil
@@ -400,32 +401,37 @@ func (c *Cluster) FlightRecorder() *trace.FlightRecorder {
 	return fr
 }
 
-// NIC returns the NIC of host h (works on both engines).
+// NIC returns the NIC of host h (nil for a node outside the host list).
 func (c *Cluster) NIC(h topology.NodeID) *nic.NIC {
-	if c.eng != nil {
-		i, ok := c.byHost[h]
-		if !ok {
-			return nil
-		}
-		return c.cells[i].nics[h]
+	if s := c.stacks[h]; s != nil {
+		return s.nic
 	}
-	return c.nics[h]
+	return nil
 }
 
-// Endpoint returns the VMMC endpoint of host h. Sequential engine only.
+// Endpoint returns the VMMC endpoint of host h (nil for a node outside
+// the host list). On a multi-cell plan, export buffers before the run:
+// an Import reads the exporter's directory entry from the importer's cell.
 func (c *Cluster) Endpoint(h topology.NodeID) *vmmc.Endpoint {
-	c.mustSequential("Endpoint")
-	return c.eps[h]
+	if s := c.stacks[h]; s != nil {
+		return s.ep
+	}
+	return nil
 }
 
 // Mapper returns the on-demand mapper of host h (nil if mapping disabled).
-func (c *Cluster) Mapper(h topology.NodeID) *mapping.Mapper { return c.mappers[h] }
+func (c *Cluster) Mapper(h topology.NodeID) *mapping.Mapper {
+	if s := c.stacks[h]; s != nil {
+		return s.mapper
+	}
+	return nil
+}
 
 // Quarantined reports whether host src currently holds dst in quarantine
 // (repeated remap failures; cleared by the next successful remap).
 func (c *Cluster) Quarantined(src, dst topology.NodeID) bool {
-	rm := c.remaps[src]
-	return rm != nil && rm.quarantinedNow(dst)
+	s := c.stacks[src]
+	return s != nil && s.remap != nil && s.remap.quarantinedNow(dst)
 }
 
 // RemapInFlight returns, across all hosts, how many destinations have a
@@ -433,10 +439,12 @@ func (c *Cluster) Quarantined(src, dst topology.NodeID) bool {
 // At quiesce both should be zero (a run still active there means a remap
 // wedged without completing).
 func (c *Cluster) RemapInFlight() (running, armed int) {
-	for _, rm := range c.remaps {
-		r, a := rm.busy()
-		running += r
-		armed += a
+	for _, s := range c.stacks {
+		if s.remap != nil {
+			r, a := s.remap.busy()
+			running += r
+			armed += a
+		}
 	}
 	return
 }
@@ -445,97 +453,86 @@ func (c *Cluster) RemapInFlight() (running, armed int) {
 // session-down triggers are held instead of starting mapping runs, so h
 // keeps routing on its pre-failure map. Stale-map divergence scenarios use
 // this to open a blind window; ResumeRemap replays the held triggers.
-// Sequential engine with mapping enabled only.
-func (c *Cluster) SuspendRemap(h topology.NodeID) {
-	c.mustSequential("SuspendRemap")
-	rm := c.remaps[h]
-	if rm == nil {
-		panic("core: SuspendRemap on a cluster without Config.Mapper")
-	}
-	rm.suspend()
-}
+// Requires Config.Mapper. Call it from host h's cell (process context or
+// a kernel event there) or while the cluster is quiescent.
+func (c *Cluster) SuspendRemap(h topology.NodeID) { c.remapOf("SuspendRemap", h).suspend() }
 
 // ResumeRemap re-enables host h's failure recovery and replays every
 // trigger held while suspended, in destination order.
-func (c *Cluster) ResumeRemap(h topology.NodeID) {
-	c.mustSequential("ResumeRemap")
-	rm := c.remaps[h]
-	if rm == nil {
-		panic("core: ResumeRemap on a cluster without Config.Mapper")
+func (c *Cluster) ResumeRemap(h topology.NodeID) { c.remapOf("ResumeRemap", h).resume() }
+
+func (c *Cluster) remapOf(method string, h topology.NodeID) *remapManager {
+	s := c.stacks[h]
+	if s == nil || s.remap == nil {
+		panic("core: " + method + " on a cluster without Config.Mapper")
 	}
-	rm.resume()
+	return s.remap
 }
 
 // SetLinkLoss makes topology link id gray: packets crossing it drop with
-// probability rate from a deterministic per-(seed, link) stream. Works on
-// both engines (on the sharded engine every shard replica gets the same
-// stream parameters; each samples only the packets it carries). rate 0
-// clears the loss.
+// probability rate from a deterministic per-(seed, link) stream. On
+// several cells every cell's fabric gets the same stream parameters and
+// samples only the packets it carries. rate 0 clears the loss.
 func (c *Cluster) SetLinkLoss(link int, rate float64) {
-	if c.eng != nil {
-		for _, cl := range c.cells {
-			cl.pipe.SetLinkLoss(link, rate, c.cfg.Seed)
-		}
-		return
+	for _, cl := range c.cells {
+		cl.fab.SetLinkLoss(link, rate, c.cfg.Seed)
 	}
-	c.Fab.SetLinkLoss(link, rate, c.cfg.Seed)
 }
 
 // Host returns the i-th host's node ID.
 func (c *Cluster) Host(i int) topology.NodeID { return c.Hosts[i] }
 
-// EndpointAt returns the i-th host's endpoint. Sequential engine only.
-func (c *Cluster) EndpointAt(i int) *vmmc.Endpoint {
-	c.mustSequential("EndpointAt")
-	return c.eps[c.Hosts[i]]
-}
+// EndpointAt returns the i-th host's endpoint.
+func (c *Cluster) EndpointAt(i int) *vmmc.Endpoint { return c.Endpoint(c.Hosts[i]) }
 
-// NICAt returns the i-th host's NIC (works on both engines).
+// NICAt returns the i-th host's NIC.
 func (c *Cluster) NICAt(i int) *nic.NIC { return c.NIC(c.Hosts[i]) }
 
-// RunFor advances the whole simulation by d, then stops the kernel(s)
-// (terminating any still-parked processes). Use for bounded experiments.
+// RunFor advances the whole simulation by d. Use for bounded
+// experiments.
 func (c *Cluster) RunFor(d time.Duration) {
-	if c.eng != nil {
-		c.eng.RunFor(d)
-	} else {
-		c.K.RunFor(d)
-	}
+	c.run.RunFor(d)
+	c.boundary()
+}
+
+// boundary runs at every RunFor/Stop return, with the cells quiescent:
+// it hands a multi-cell plan's queued trace events and OnUnreachable
+// upcalls over, and publishes live telemetry.
+func (c *Cluster) boundary() {
+	c.forwardTrace()
+	c.deliverUpcalls()
 	c.publishTelemetry()
 }
 
-// Stop terminates the simulation and all its processes. On the sharded
-// engine this also shuts the worker pool down; the cluster can still be
-// inspected (Deliveries, DumpObservables, ...) but not resumed.
+// Stop terminates the simulation and all its processes, and shuts the
+// parallel engine's worker pool down. The cluster can still be inspected
+// (Deliveries, DumpObservables, ...) but not resumed.
 func (c *Cluster) Stop() {
-	if c.eng != nil {
-		for _, cl := range c.cells {
-			cl.k.Stop()
-		}
-		c.eng.Shutdown()
-	} else {
-		c.K.Stop()
+	for _, cl := range c.cells {
+		cl.k.Stop()
 	}
-	// Final publish so a live scrape can read the end state; the server
-	// itself stays up until its owner closes it.
-	c.publishTelemetry()
+	if c.eng != nil {
+		c.eng.Shutdown()
+	}
+	// The final publish lets a live scrape read the end state; the
+	// telemetry server stays up until its owner closes it.
+	c.boundary()
 }
 
-// StopSoon schedules a stop at the current instant; safe to call from
+// StopSoon ends the run at the current instant; safe to call from
 // process context (the stop executes once control returns to the kernel).
 // Benchmarks call it when their workload completes so the run does not
-// idle through periodic timer events until its time bound. Sequential
-// engine only.
+// idle through periodic timer events until its time bound. On several
+// cells the run ends at the close of the current epoch window, a point
+// that depends only on simulated state.
 func (c *Cluster) StopSoon() {
-	c.mustSequential("StopSoon")
+	if c.eng != nil {
+		c.eng.Halt()
+		return
+	}
 	c.K.Immediately(func() { c.K.Stop() })
 }
 
 // Now returns the current simulated time: the kernel clock, or the time
-// frontier all shards have reached.
-func (c *Cluster) Now() sim.Time {
-	if c.eng != nil {
-		return c.eng.Now()
-	}
-	return c.K.Now()
-}
+// frontier every cell has reached.
+func (c *Cluster) Now() sim.Time { return c.run.Now() }

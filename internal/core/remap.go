@@ -8,6 +8,7 @@ import (
 
 	"sanft/internal/mapping"
 	"sanft/internal/metrics"
+	"sanft/internal/nic"
 	"sanft/internal/sim"
 	"sanft/internal/topology"
 	"sanft/internal/trace"
@@ -49,10 +50,10 @@ type RemapPolicy struct {
 	// costs a full run, the paper's behavior).
 	AltRoutes int
 	// MaxConcurrent, when > 0, caps the number of mapping runs in flight
-	// across the whole cluster. Excess triggers defer to their backoff
-	// release time instead of starting, so a correlated failure storm
-	// (1k+ destinations at once) drains as a paced queue rather than a
-	// probe flood. 0 = unbounded.
+	// in each cell (on the one-cell plan, across the whole cluster).
+	// Excess triggers defer to their backoff release time instead of
+	// starting, so a correlated failure storm (1k+ destinations at once)
+	// drains as a paced queue rather than a probe flood. 0 = unbounded.
 	MaxConcurrent int
 }
 
@@ -118,6 +119,9 @@ type remapState struct {
 // run per destination is ever in flight.
 type remapManager struct {
 	c   *Cluster
+	cl  *cell
+	k   *sim.Kernel
+	n   *nic.NIC
 	h   topology.NodeID
 	m   *mapping.Mapper
 	pol RemapPolicy
@@ -132,17 +136,28 @@ type remapManager struct {
 	held      map[topology.NodeID]bool
 }
 
-func newRemapManager(c *Cluster, h topology.NodeID, m *mapping.Mapper, pol RemapPolicy, seed int64) *remapManager {
+func newRemapManager(c *Cluster, s *stack, pol RemapPolicy, seed int64) *remapManager {
 	return &remapManager{
 		c:    c,
-		h:    h,
-		m:    m,
+		cl:   s.cell,
+		k:    s.cell.k,
+		n:    s.nic,
+		h:    s.nic.Node(),
+		m:    s.mapper,
 		pol:  pol,
 		rng:  rand.New(rand.NewSource(seed)),
 		dst:  make(map[topology.NodeID]*remapState),
-		mx:   c.nics[h].MetricsScope(),
+		mx:   s.nic.MetricsScope(),
 		held: make(map[topology.NodeID]bool),
 	}
+}
+
+// count applies fn to the cluster's remap counters. Cells of a multi-cell
+// plan run concurrently, so every update goes through the cluster lock.
+func (rm *remapManager) count(fn func(c *Cluster)) {
+	rm.c.mu.Lock()
+	fn(rm.c)
+	rm.c.mu.Unlock()
 }
 
 // suspend holds all future triggers. resume replays held destinations in
@@ -190,22 +205,22 @@ func (rm *remapManager) trigger(dst topology.NodeID) {
 	st := rm.state(dst)
 	if st.running {
 		st.pending = true
-		rm.c.RemapStats.Coalesced++
+		rm.count(func(c *Cluster) { c.RemapStats.Coalesced++ })
 		rm.mx.Add("remap.coalesced", 1)
 		return
 	}
-	now := rm.c.K.Now()
+	now := rm.k.Now()
 	if now.Before(st.notBefore) {
 		if st.armed {
-			rm.c.RemapStats.Coalesced++
+			rm.count(func(c *Cluster) { c.RemapStats.Coalesced++ })
 			rm.mx.Add("remap.coalesced", 1)
 			return
 		}
 		st.armed = true
-		rm.c.RemapStats.Deferred++
+		rm.count(func(c *Cluster) { c.RemapStats.Deferred++ })
 		rm.mx.Add("remap.deferred", 1)
-		rm.c.nics[rm.h].EmitEvent(trace.EvRemapDefer, dst)
-		rm.c.K.At(st.notBefore, func() {
+		rm.n.EmitEvent(trace.EvRemapDefer, dst)
+		rm.k.At(st.notBefore, func() {
 			st.armed = false
 			rm.trigger(dst)
 		})
@@ -215,22 +230,22 @@ func (rm *remapManager) trigger(dst topology.NodeID) {
 }
 
 func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
-	if rm.pol.MaxConcurrent > 0 && rm.c.remapRunning >= rm.pol.MaxConcurrent {
-		// The cluster-wide run budget is exhausted: defer to the backoff
+	if rm.pol.MaxConcurrent > 0 && rm.cl.remapRunning >= rm.pol.MaxConcurrent {
+		// The cell's run budget is exhausted: defer to the backoff
 		// release time, exactly like a too-early retry. Storm-safe — 1k
 		// simultaneous failures become a paced queue, not a probe flood.
-		now := rm.c.K.Now()
+		now := rm.k.Now()
 		st.notBefore = now.Add(rm.jitter(st.backoff))
 		if st.armed {
-			rm.c.RemapStats.Coalesced++
+			rm.count(func(c *Cluster) { c.RemapStats.Coalesced++ })
 			rm.mx.Add("remap.coalesced", 1)
 			return
 		}
 		st.armed = true
-		rm.c.RemapStats.Deferred++
+		rm.count(func(c *Cluster) { c.RemapStats.Deferred++ })
 		rm.mx.Add("remap.deferred", 1)
-		rm.c.nics[rm.h].EmitEvent(trace.EvRemapDefer, dst)
-		rm.c.K.At(st.notBefore, func() {
+		rm.n.EmitEvent(trace.EvRemapDefer, dst)
+		rm.k.At(st.notBefore, func() {
 			st.armed = false
 			rm.trigger(dst)
 		})
@@ -238,13 +253,13 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 	}
 	st.running = true
 	st.seq++
-	rm.c.remapRunning++
-	rm.c.RemapStats.Attempts++
+	rm.cl.remapRunning++
+	rm.count(func(c *Cluster) { c.RemapStats.Attempts++ })
 	rm.mx.Add("remap.attempts", 1)
-	n := rm.c.nics[rm.h]
+	n := rm.n
 	n.EmitEvent(trace.EvRemapStart, dst)
 	succeed := func(elapsed time.Duration) {
-		rm.c.Remaps++
+		rm.count(func(c *Cluster) { c.Remaps++ })
 		rm.mx.Add("remap.successes", 1)
 		rm.mx.Observe("remap.latency_ns", elapsed)
 		n.EmitEvent(trace.EvRemapDone, dst)
@@ -257,7 +272,7 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 		// NIC re-raises the upcall if the path is still broken.
 		st.pending = false
 	}
-	rm.c.K.Spawn(fmt.Sprintf("remap-%d-%d.%d", rm.h, dst, st.seq), func(p *sim.Proc) {
+	rm.k.Spawn(fmt.Sprintf("remap-%d-%d.%d", rm.h, dst, st.seq), func(p *sim.Proc) {
 		// Fast path: validate a cached disjoint alternate with one host
 		// probe before paying for a full mapping run.
 		if rm.pol.AltRoutes > 0 && len(st.cands) > 0 {
@@ -269,7 +284,7 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 				if rm.m.ProbeRoute(p, dst, cand) {
 					rm.m.InstallCandidate(dst, cand)
 					st.running = false
-					rm.c.remapRunning--
+					rm.cl.remapRunning--
 					rm.mx.Add("remap.alt_hits", 1)
 					succeed(p.Now().Sub(start))
 					return
@@ -278,7 +293,7 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 		}
 		cands, mst, ok := rm.m.RemapK(p, dst, rm.pol.AltRoutes+1)
 		st.running = false
-		rm.c.remapRunning--
+		rm.cl.remapRunning--
 		if ok {
 			if len(cands) > 1 {
 				st.cands = cands[1:]
@@ -286,19 +301,17 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 			succeed(mst.Elapsed)
 			return
 		}
-		rm.c.Unreachables++
+		rm.count(func(c *Cluster) { c.Unreachables++ })
 		rm.mx.Add("remap.failures", 1)
 		st.failures++
 		now := p.Now()
 		if rm.pol.QuarantineAfter > 0 && st.failures >= rm.pol.QuarantineAfter {
 			if !st.quarantined {
 				st.quarantined = true
-				rm.c.RemapStats.Quarantines++
+				rm.count(func(c *Cluster) { c.RemapStats.Quarantines++ })
 				rm.mx.Add("remap.quarantines", 1)
 				n.EmitEvent(trace.EvQuarantine, dst)
-				if rm.c.onUnreachable != nil {
-					rm.c.onUnreachable(rm.h, dst)
-				}
+				rm.cl.unreachable(rm.c, rm.h, dst)
 			}
 			st.notBefore = now.Add(st.release)
 			st.release *= 2

@@ -72,7 +72,7 @@ func TestFlappingLinkRemapsCoalesced(t *testing.T) {
 		c.Fab.KillLink(trunk)
 		c.K.After(time.Millisecond, func() {
 			for i, h := range hosts {
-				c.remaps[h].trigger(hosts[1-i])
+				c.stacks[h].remap.trigger(hosts[1-i])
 			}
 		})
 		c.K.After(4*time.Millisecond, func() {
@@ -117,62 +117,66 @@ func TestFlappingLinkRemapsCoalesced(t *testing.T) {
 // whose only link is dead. The manager must not retry forever: after the
 // configured number of consecutive failures the destination is
 // quarantined, the OnUnreachable upcall fires, and further attempts are
-// paced by exponentially growing release times.
+// paced by exponentially growing release times — on one cell and on
+// several, where the upcall arrives at the RunFor boundary.
 func TestDeadDestinationQuarantined(t *testing.T) {
-	nw, hosts := topology.Star(2)
-	type upcall struct{ src, dst topology.NodeID }
-	var upcalls []upcall
-	c := New(Config{
-		Net: nw, Hosts: hosts, FT: true,
-		Retrans: retrans.Config{
-			// Wide queue: all demand fits without blocking the sender, so
-			// every pending packet predates the last quarantine-release
-			// probe and must have been reclaimed by the end of the run.
-			QueueSize:         64,
-			Interval:          time.Millisecond,
-			PermFailThreshold: 4 * time.Millisecond,
-		},
-		Mapper: true,
-		OnUnreachable: func(src, dst topology.NodeID) {
-			upcalls = append(upcalls, upcall{src, dst})
-		},
-		Seed: 5,
-	})
-	src, dst := hosts[0], hosts[1]
-	c.Endpoint(dst).Export("in", 4096)
-	c.Fab.KillLink(nw.Node(dst).Ports[0])
+	for _, plan := range []ShardPlan{{}, {HostsPerShard: 1}} {
+		nw, hosts := topology.Star(2)
+		type upcall struct{ src, dst topology.NodeID }
+		var upcalls []upcall
+		c := New(Config{
+			Net: nw, Hosts: hosts, FT: true,
+			Retrans: retrans.Config{
+				// Wide queue: all demand fits without blocking the sender, so
+				// every pending packet predates the last quarantine-release
+				// probe and must have been reclaimed by the end of the run.
+				QueueSize:         64,
+				Interval:          time.Millisecond,
+				PermFailThreshold: 4 * time.Millisecond,
+			},
+			Mapper: true,
+			OnUnreachable: func(src, dst topology.NodeID) {
+				upcalls = append(upcalls, upcall{src, dst})
+			},
+			Plan: plan,
+			Seed: 5,
+		})
+		src, dst := hosts[0], hosts[1]
+		c.Endpoint(dst).Export("in", 4096)
+		c.ScheduleLinkFlaps([]LinkFlapEvent{{Link: nw.Node(dst).Ports[0].ID}})
 
-	c.K.Spawn("send", func(p *sim.Proc) {
-		imp, _ := c.Endpoint(src).Import(dst, "in")
-		for i := 0; i < 20; i++ {
-			imp.Send(p, 0, make([]byte, 64), false)
-			p.Sleep(30 * time.Millisecond)
+		c.CellKernel(0).Spawn("send", func(p *sim.Proc) {
+			imp, _ := c.Endpoint(src).Import(dst, "in")
+			for i := 0; i < 20; i++ {
+				imp.Send(p, 0, make([]byte, 64), false)
+				p.Sleep(30 * time.Millisecond)
+			}
+		})
+		c.RunFor(5 * time.Second)
+		c.Stop()
+
+		if len(upcalls) == 0 {
+			t.Fatalf("plan %+v: OnUnreachable never fired", plan)
 		}
-	})
-	c.RunFor(5 * time.Second)
-	c.Stop()
-
-	if len(upcalls) == 0 {
-		t.Fatal("OnUnreachable never fired")
-	}
-	if upcalls[0] != (upcall{src, dst}) {
-		t.Fatalf("upcall = %+v, want {%d %d}", upcalls[0], src, dst)
-	}
-	if !c.Quarantined(src, dst) {
-		t.Fatal("destination not quarantined despite permanent failure")
-	}
-	if c.RemapStats.Quarantines == 0 {
-		t.Fatal("quarantine counter not incremented")
-	}
-	// 5 s against a dead destination: the old behaviour was one mapping
-	// run per upcall; the paced one is a handful of initial retries plus
-	// quarantine releases at 250 ms, 500 ms, 1 s, 2 s.
-	if c.RemapStats.Attempts > 10 {
-		t.Fatalf("attempts = %d against a dead destination; want ≤ 10. stats: %+v",
-			c.RemapStats.Attempts, c.RemapStats)
-	}
-	if c.NIC(src).ProtoSender().TotalUnacked() != 0 {
-		t.Fatal("pending packets not reclaimed")
+		if upcalls[0] != (upcall{src, dst}) {
+			t.Fatalf("upcall = %+v, want {%d %d}", upcalls[0], src, dst)
+		}
+		if !c.Quarantined(src, dst) {
+			t.Fatal("destination not quarantined despite permanent failure")
+		}
+		if c.RemapStats.Quarantines == 0 || c.Unreachables == 0 {
+			t.Fatalf("quarantine counters not incremented: %+v", c.RemapStats)
+		}
+		// 5 s against a dead destination: the old behaviour was one mapping
+		// run per upcall; the paced one is a handful of initial retries plus
+		// quarantine releases at 250 ms, 500 ms, 1 s, 2 s.
+		if c.RemapStats.Attempts > 10 {
+			t.Fatalf("attempts = %d against a dead destination; want ≤ 10. stats: %+v",
+				c.RemapStats.Attempts, c.RemapStats)
+		}
+		if c.NIC(src).ProtoSender().TotalUnacked() != 0 {
+			t.Fatal("pending packets not reclaimed")
+		}
 	}
 }
 
@@ -262,15 +266,15 @@ func TestDuplicateUpcallsWhileRunningCoalesce(t *testing.T) {
 		// Wait for the stale-path upcall to start a mapping run, then
 		// fire the duplicate upcalls the cleared NIC guard would let in.
 		for {
-			st := c.remaps[src].dst[dst]
+			st := c.stacks[src].remap.dst[dst]
 			if st != nil && st.running {
 				break
 			}
 			p.Sleep(100 * time.Microsecond)
 		}
 		before := c.RemapStats.Attempts
-		c.remaps[src].trigger(dst)
-		c.remaps[src].trigger(dst)
+		c.stacks[src].remap.trigger(dst)
+		c.stacks[src].remap.trigger(dst)
 		if c.RemapStats.Attempts != before {
 			t.Errorf("duplicate upcalls spawned concurrent runs: %d -> %d",
 				before, c.RemapStats.Attempts)

@@ -133,9 +133,6 @@ func (f *Fabric) BindMetrics(reg *metrics.Registry) {
 // Metrics returns the registry the fabric currently records into.
 func (f *Fabric) Metrics() *metrics.Registry { return f.ctr.reg }
 
-// Kernel returns the driving kernel.
-func (f *Fabric) Kernel() *sim.Kernel { return f.k }
-
 // Network returns the underlying topology.
 func (f *Fabric) Network() *topology.Network { return f.nw }
 

@@ -44,9 +44,8 @@ type Pipe struct {
 	deliver map[topology.NodeID]func(*Packet)
 	egress  func(dst topology.NodeID, at sim.Time, pkt *Packet)
 
-	transitHook func(*Packet) bool
-	tracer      trace.Tracer
-	gray        map[int]*grayLink // per-link probabilistic loss (SetLinkLoss)
+	tracer trace.Tracer
+	gray   map[int]*grayLink // per-link probabilistic loss (SetLinkLoss)
 
 	ctr counters
 }
@@ -75,15 +74,6 @@ func (p *Pipe) BindMetrics(reg *metrics.Registry) { p.ctr.bind(reg) }
 // Metrics returns the registry the pipe currently records into.
 func (p *Pipe) Metrics() *metrics.Registry { return p.ctr.reg }
 
-// Kernel returns the driving kernel.
-func (p *Pipe) Kernel() *sim.Kernel { return p.k }
-
-// Network returns the shard-local topology replica.
-func (p *Pipe) Network() *topology.Network { return p.nw }
-
-// Config returns the fabric constants.
-func (p *Pipe) Config() Config { return p.cfg }
-
 // Stats returns a snapshot of this shard's fabric counters. In a sharded
 // run, injections count on the source shard and deliveries on the
 // destination shard; cluster-wide totals come from the merged registry.
@@ -106,12 +96,12 @@ func (p *Pipe) SetEgress(fn func(dst topology.NodeID, at sim.Time, pkt *Packet))
 	p.egress = fn
 }
 
-// SetTransitHook installs a fault-injection hook invoked once per packet
-// at delivery, exactly as on the wormhole fabric.
-func (p *Pipe) SetTransitHook(fn func(*Packet) bool) { p.transitHook = fn }
-
 // SetTracer wires (or removes, with nil) a packet-level event tracer.
 func (p *Pipe) SetTracer(tr trace.Tracer) { p.tracer = tr }
+
+// KillLink fails link l on the pipe's topology replica. A pipe decides
+// each packet's fate at injection, so no packet in flight needs flushing.
+func (p *Pipe) KillLink(l *topology.Link) { p.nw.KillLink(l) }
 
 // SerializationTime returns how long a packet of n bytes occupies a link.
 func (p *Pipe) SerializationTime(n int) time.Duration {
@@ -225,10 +215,6 @@ func (p *Pipe) Inject(src topology.NodeID, pkt *Packet) {
 // instant. For cross-shard packets the engine calls this on the owning
 // shard's pipe at the arrival time the source shard computed.
 func (p *Pipe) Arrive(dst topology.NodeID, pkt *Packet) {
-	if p.transitHook != nil && !p.transitHook(pkt) {
-		p.drop(pkt, DropInjected)
-		return
-	}
 	pkt.Delivered = p.k.Now()
 	p.ctr.deliver(pkt.Size)
 	p.emitPkt(trace.EvDeliver, pkt, "")

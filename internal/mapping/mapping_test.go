@@ -415,3 +415,41 @@ func TestRemapUnreachableDropsPending(t *testing.T) {
 		t.Fatalf("free buffers = %d, want 16", r.nics[src].FreeBuffers())
 	}
 }
+
+// ProbeRoute validates a cached candidate with one host probe: true for a
+// live route that ends at the named host, false when the route ends
+// elsewhere or crosses a dead link.
+func TestProbeRoute(t *testing.T) {
+	f := topology.NewFig2()
+	hosts := f.Net.Hosts()
+	r := newRig(t, f.Net, hosts, false)
+	m := New(r.k, r.nics[f.Mapper], Config{})
+	target := f.Targets[1]
+	var cands []Candidate
+	r.k.Spawn("map", func(p *sim.Proc) { cands, _, _ = m.MapToK(p, target, 2) })
+	r.k.RunFor(5 * time.Second)
+	if len(cands) == 0 {
+		t.Fatal("mapping found no candidate")
+	}
+	res := map[string]bool{}
+	probe := func(name string, dst topology.NodeID, c Candidate) {
+		r.k.Spawn("probe-"+name, func(p *sim.Proc) { res[name] = m.ProbeRoute(p, dst, c) })
+		r.k.RunFor(time.Second)
+	}
+	probe("live", target, cands[0])
+	probe("wrong-host", f.Targets[0], cands[0])
+	w, err := routing.Walk(f.Net, f.Mapper, cands[0].Fwd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.fab.KillLink(f.Net.Node(w.Switches[0]).Ports[cands[0].Fwd[0]])
+	probe("dead", target, cands[0])
+	r.k.Stop()
+	if !res["live"] || res["wrong-host"] || res["dead"] {
+		t.Fatalf("ProbeRoute results %v, want only live true", res)
+	}
+	// Probes add to the totals but are not mapping runs.
+	if m.Runs() != 1 || m.Totals().HostProbes < 3 || m.NIC() != r.nics[f.Mapper] {
+		t.Fatalf("runs=%d totals=%+v", m.Runs(), m.Totals())
+	}
+}

@@ -142,6 +142,10 @@ type Engine struct {
 	panicMu  sync.Mutex
 	panicVal any
 
+	// halt, set by Halt from any shard, ends Run at the next window
+	// boundary.
+	halt atomic.Bool
+
 	touched []bool // per-dst inbox dirty flags, reused across collects
 	sorter  xevSorter
 
@@ -231,6 +235,13 @@ func (e *Engine) Shutdown() {
 	}
 	e.start = nil
 }
+
+// Halt ends the run early: Run returns at the close of the current epoch
+// window — or, inside a solo batch, right after the executing event — and
+// stops every shard kernel, killing their parked processes. Shard code
+// may call it concurrently. The stopping point depends only on simulated
+// state, never on the worker count.
+func (e *Engine) Halt() { e.halt.Store(true) }
 
 // nextWork returns the earliest pending activity across all shards:
 // local kernel events and undelivered cross-shard arrivals.
@@ -587,7 +598,7 @@ func (e *Engine) soloShard(until sim.Time) (int, bool) {
 func (e *Engine) soloRun(i int, until sim.Time) {
 	k := e.shards[i].Kernel()
 	out := &e.outbox[i]
-	for len(*out) == 0 && !k.Stopped() {
+	for len(*out) == 0 && !k.Stopped() && !e.halt.Load() {
 		t, ok := k.NextEvent()
 		if !ok || t >= until {
 			break
@@ -631,7 +642,7 @@ func (e *Engine) Run(until sim.Time) {
 	// return and when a panic (lookahead violation, shard code) unwinds —
 	// so Shutdown can retire them and idle engines burn no CPU.
 	defer e.parkWorkers()
-	for e.now < until {
+	for e.now < until && !e.halt.Load() {
 		if i, ok := e.soloShard(until); ok {
 			if e.prof == nil {
 				e.soloRun(i, until)
@@ -685,6 +696,12 @@ func (e *Engine) Run(until sim.Time) {
 		}
 		e.now = end
 		e.epochs++
+	}
+	if e.halt.Load() {
+		for _, s := range e.shards {
+			s.Kernel().Stop()
+		}
+		return
 	}
 	// Align clocks on the frontier: no events remain before until.
 	e.curEnd = until

@@ -124,7 +124,7 @@ func NewEndpoint(k *sim.Kernel, n *nic.NIC, dir *Directory) *Endpoint {
 		partial:   make(map[msgKey]*partialMsg),
 		completed: make(map[topology.NodeID]*completionWindow),
 	}
-	n.SetOnDeliver(ep.onDeliver)
+	n.SetOnDeliver(ep.Deliver)
 	dir.eps[ep.node] = ep
 	return ep
 }
@@ -222,9 +222,11 @@ func (imp *Import) Send(p *sim.Proc, offset int, data []byte, notify bool) uint6
 	return msgID
 }
 
-// onDeliver handles an accepted data frame from the NIC: deposit the chunk
-// into the exported buffer and track message completion.
-func (ep *Endpoint) onDeliver(f *proto.Frame) {
+// Deliver handles an accepted data frame from the NIC: deposit the chunk
+// into the exported buffer and track message completion. NewEndpoint
+// installs it as the NIC's delivery upcall; a caller that also observes
+// deliveries installs its own upcall and calls Deliver from it.
+func (ep *Endpoint) Deliver(f *proto.Frame) {
 	d := f.Data
 	e, ok := ep.exports[d.BufID]
 	if !ok {

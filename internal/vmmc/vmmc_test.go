@@ -298,3 +298,35 @@ func TestCompletionWindowFoldsDense(t *testing.T) {
 		t.Fatalf("after fold: upTo=%d sparse=%d", cw.upTo, len(cw.sparse))
 	}
 }
+
+// WaitNotificationTimeout gives up after its timeout when nothing
+// arrives, and returns the notification when one does in time.
+func TestWaitNotificationTimeout(t *testing.T) {
+	r := newRig(t, 2, true, 0)
+	a, b := r.hosts[0], r.hosts[1]
+	exp := r.eps[b].Export("inbox", 64)
+	var first, second bool
+	var note Notification
+	var gaveUp sim.Time
+	r.k.Spawn("receiver", func(p *sim.Proc) {
+		_, first = exp.WaitNotificationTimeout(p, time.Millisecond)
+		gaveUp = p.Now()
+		note, second = exp.WaitNotificationTimeout(p, 5*time.Millisecond)
+	})
+	r.k.Spawn("sender", func(p *sim.Proc) {
+		p.Sleep(2 * time.Millisecond)
+		imp, err := r.eps[a].Import(b, "inbox")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		imp.Send(p, 0, []byte("late"), true)
+	})
+	r.runFor(10 * time.Millisecond)
+	if first || gaveUp != sim.Time(time.Millisecond) {
+		t.Fatalf("first wait: ok=%v at %v, want a timeout at 1ms", first, gaveUp)
+	}
+	if !second || note.Src != a || note.Len != 4 {
+		t.Fatalf("second wait: ok=%v note=%+v, want the 4-byte message from %d", second, note, a)
+	}
+}

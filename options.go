@@ -175,6 +175,8 @@ func WithMetrics(mc MetricsConfig) Option {
 
 // WithSampling starts periodic metric sampling every `every` of simulated
 // time — shorthand for WithMetrics(MetricsConfig{SampleEvery: every}).
+// One-cell plan only: New rejects it on several cells, where
+// MergedObserver().SampleNow between RunFor calls takes the samples.
 func WithSampling(every time.Duration) Option {
 	return func(c *Config) { c.Metrics.SampleEvery = every }
 }
@@ -182,7 +184,9 @@ func WithSampling(every time.Duration) Option {
 // WithTracing wires tr as the cluster-wide tracer: every NIC protocol
 // action, fabric hop event, VMMC message-lifecycle event, and remap
 // lifecycle event is recorded through it. Typically a *TraceRing (plain
-// ring buffer) or a *FlightRecorder. Zero cost when absent.
+// ring buffer) or a *FlightRecorder. Zero cost when absent. On a
+// multi-cell plan the tracer receives the merged cell timeline at every
+// RunFor and Stop.
 func WithTracing(tr Tracer) Option {
 	return func(c *Config) { c.Tracer = tr }
 }
@@ -217,20 +221,21 @@ func WithTelemetryServer(addr string) Option {
 	return func(c *Config) { c.Telemetry = addr }
 }
 
-// WithEngine selects the execution engine: EngineSequential (the
-// default — one kernel, full observability) or EngineSharded (hosts
-// partitioned into shard cells under the conservative parallel engine;
-// outputs are byte-identical for every worker count). Combine with
-// WithShardPlan and WithWorkers to shape a sharded run.
+// WithEngine selects the cell plan: EngineSequential (the default — one
+// cell, one kernel, the wormhole fabric) or EngineSharded (hosts
+// partitioned into several cells under the conservative parallel engine;
+// outputs are byte-identical for every worker count). Every Cluster
+// method works on both. Combine with WithShardPlan and WithWorkers to
+// shape a multi-cell run.
 func WithEngine(k EngineKind) Option {
 	return func(c *Config) { c.Engine = k }
 }
 
-// WithShardPlan sets the host partition for sharded execution and
-// implies WithEngine(EngineSharded). The plan is part of the
-// experiment's identity — it decides which traffic crosses epoch
-// barriers — so differential comparisons must hold it fixed. The zero
-// plan is one host per shard.
+// WithShardPlan sets the host partition into cells and implies
+// WithEngine(EngineSharded). The plan is part of the experiment's
+// identity — it decides which traffic crosses epoch barriers — so
+// differential comparisons must hold it fixed. The zero plan is one host
+// per cell.
 func WithShardPlan(p ShardPlan) Option {
 	return func(c *Config) {
 		c.Engine = EngineSharded
@@ -238,10 +243,10 @@ func WithShardPlan(p ShardPlan) Option {
 	}
 }
 
-// WithWorkers sets how many OS threads drive the shard kernels under
-// EngineSharded. Any value — including the default 0 (= GOMAXPROCS) —
+// WithWorkers sets how many OS threads drive the cell kernels of a
+// multi-cell plan. Any value — including the default 0 (= GOMAXPROCS) —
 // produces byte-identical results; the setting only changes wall-clock
-// time. Ignored by the sequential engine.
+// time. Ignored by the one-cell plan.
 func WithWorkers(n int) Option {
 	return func(c *Config) { c.Workers = n }
 }
@@ -256,7 +261,7 @@ func WithWorkers(n int) Option {
 //	)
 //
 // With no topology option, a two-host star is built; the default seed
-// is 1. The same constructor builds sharded parallel clusters:
+// is 1. The same constructor builds multi-cell parallel clusters:
 //
 //	s := sanft.New(
 //		sanft.WithStar(8),

@@ -153,17 +153,18 @@ func DefaultParams() RetransConfig {
 	return RetransConfig{QueueSize: 32, Interval: time.Millisecond}.Defaults()
 }
 
-// Sharded parallel execution types.
+// Cell-plan types.
 type (
-	// EngineKind selects a cluster's execution engine; see WithEngine.
+	// EngineKind selects a cluster's cell plan; see WithEngine.
 	EngineKind = core.EngineKind
-	// ShardPlan partitions hosts into shards for EngineSharded; see
+	// ShardPlan partitions hosts into cells for EngineSharded; see
 	// WithShardPlan.
 	ShardPlan = core.ShardPlan
-	// Flow is one directed traffic stream of a sharded workload.
+	// Flow is one directed traffic stream of a frame-level workload
+	// (Cluster.StartFlows).
 	Flow = core.Flow
-	// Delivery is one accepted data frame in a sharded run's merged
-	// delivery order.
+	// Delivery is one accepted data frame in a run's merged delivery
+	// log (Cluster.Deliveries).
 	Delivery = core.Delivery
 )
 
