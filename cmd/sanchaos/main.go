@@ -18,18 +18,19 @@
 //	sanchaos -liveness                # baseline vs liveness variant, side by side
 //	sanchaos -list                    # list campaigns
 //
-// Scale tier — thousand-host datacenter fabrics on the sharded engine:
+// Scale tier — thousand-host datacenter fabrics on a multi-cell plan:
 //
-//	sanchaos -topo fattree:8 -scenario flapstorm   # correlated flap burst, exactly-once audit
+//	sanchaos -topo fattree:8 -scenario flapstorm   # correlated flap burst, full invariant audit
 //	sanchaos -topo fattree:16 -scenario flapstorm  # same at 1024 hosts
 //	sanchaos -topo dragonfly:4,4,4 -scenario gray  # lossy-but-up trunks
-//	sanchaos -scenario stalemap                    # sequential stale-map divergence campaign
+//	sanchaos -scenario stalemap                    # the stale-map divergence campaign
 //
 // -topo takes a topology spec (fattree:K, dragonfly:A,P,H,
-// torus:HP,D1,D2,...). flapstorm and gray run on the sharded parallel
-// engine — -workers then sets the engine's OS-thread count, and results
-// are byte-identical for any value. stalemap needs the on-demand mapper
-// and therefore runs the sequential stale-map campaign (-topo is ignored).
+// torus:HP,D1,D2,...). flapstorm and gray run chaos.RunScale on the
+// parallel engine — -workers then sets the engine's OS-thread count, and
+// results are byte-identical for any value; each report adds an engine
+// line (hosts, cells, workers, epochs, boundary crossings, events).
+// stalemap is shorthand for -campaign stale-map (-topo is ignored).
 //
 // -liveness runs every selected campaign twice — once under the paper's
 // fixed-timer baseline and once with per-path liveness sessions plus
@@ -48,7 +49,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -78,7 +78,7 @@ func main() {
 	topo := flag.String("topo", "fattree:8",
 		"scale-run topology spec: fattree:K | dragonfly:A,P,H | torus:HP,D1,D2,...")
 	scenario := flag.String("scenario", "",
-		"scale scenario: flapstorm | gray (sharded, on -topo) | stalemap (sequential campaign)")
+		"scale scenario: flapstorm | gray (multi-cell, on -topo) | stalemap (the stale-map campaign)")
 	flows := flag.Int("flows", 0, "scale-run flow count (0 = one per host)")
 	httpAddr := flag.String("http", "",
 		"serve live telemetry on this address during the grid: Prometheus /metrics (cumulative across finished runs), /progress, /debug/pprof")
@@ -99,8 +99,8 @@ func main() {
 	if *reps < 1 {
 		*reps = 1
 	}
-	if *scenario != "" {
-		os.Exit(runScale(*scenario, *topo, *seed, *reps, *workers, *flows, *events, *asJSON))
+	if *scenario == "stalemap" {
+		*campaign, *scenario = "stale-map", ""
 	}
 
 	// One campaign list per protocol variant. With -liveness the grid holds
@@ -129,17 +129,39 @@ func main() {
 		}
 	}
 
-	// The (campaign, seed) grid, in output order. The pool may execute it
-	// in any order; reports are gathered by index so printing below is
-	// deterministic.
-	type job struct {
-		c    chaos.Campaign
-		seed int64
-	}
-	var jobs []job
-	for _, c := range todo {
+	// The job grid, in output order: (campaign, seed) replicas, or the
+	// scale runs. The pool may execute it in any order; results are
+	// gathered by index so printing below is deterministic.
+	var jobs []func() result
+	pool := parsim.Pool{Workers: *workers}
+	if *scenario != "" {
+		// Scale runs parallelize inside the engine: -workers drives its
+		// threads, and the runs themselves go one at a time.
+		pool.Workers = 1
 		for r := 0; r < *reps; r++ {
-			jobs = append(jobs, job{c, *seed + int64(r)})
+			o := chaos.ScaleOpts{Topo: *topo, Scenario: *scenario, Seed: *seed + int64(r),
+				Workers: *workers, Flows: *flows}
+			jobs = append(jobs, func() result {
+				rep, err := chaos.RunScale(o)
+				if err != nil {
+					return result{err: err}
+				}
+				return result{rep: rep.Report, c: rep.C}
+			})
+		}
+	} else {
+		for _, c := range todo {
+			for r := 0; r < *reps; r++ {
+				c, seed := c, *seed+int64(r)
+				jobs = append(jobs, func() result {
+					var cl *core.Cluster
+					rep := c.RunInstrumented(seed, func(c *core.Cluster) {
+						cl = c
+						c.InstallTracer(trace.NewFlightRecorder(8192))
+					})
+					return result{rep: rep, c: cl}
+				})
+			}
 		}
 	}
 
@@ -151,7 +173,6 @@ func main() {
 	var srv *enginestat.Server
 	var agg *metrics.Observer
 	var aggMu sync.Mutex
-	pool := parsim.Pool{Workers: *workers}
 	if *httpAddr != "" {
 		var err error
 		srv, err = enginestat.NewServer(*httpAddr)
@@ -168,23 +189,28 @@ func main() {
 	}
 
 	start := time.Now()
-	reports := parsim.Map(pool, len(jobs), func(i int) *chaos.Report {
-		var cl *core.Cluster
-		rep := jobs[i].c.RunInstrumented(jobs[i].seed, func(c *core.Cluster) {
-			cl = c
-			c.InstallTracer(trace.NewFlightRecorder(8192))
-		})
-		if srv != nil && cl != nil {
-			publishMerged(srv, agg, &aggMu, cl)
+	results := parsim.Map(pool, len(jobs), func(i int) result {
+		res := jobs[i]()
+		if srv != nil && res.c != nil {
+			publishMerged(srv, agg, &aggMu, res.c)
 		}
-		return rep
+		return res
 	})
 
 	failed := 0
-	for _, rep := range reports {
+	for _, res := range results {
+		if res.err != nil {
+			fmt.Fprintf(os.Stderr, "sanchaos: %v\n", res.err)
+			os.Exit(2)
+		}
+		rep, c := res.rep, res.c
 		if err := report.Write(os.Stdout, rep, *asJSON); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
+		}
+		if c.Shards() > 1 && !*asJSON {
+			fmt.Printf("  engine:           %d hosts, %d cells, %d workers, %d epochs, %d boundary crossings, %d events executed\n",
+				len(c.Hosts), c.Shards(), c.Workers(), c.Epochs(), c.Exchanged(), c.TotalExecuted())
 		}
 		if *events && !*asJSON {
 			fmt.Println("  event log:")
@@ -217,68 +243,12 @@ func main() {
 	}
 }
 
-// runScale drives the scale tier: flapstorm and gray build a sharded
-// thousand-host cluster from the -topo spec and audit exactly-once
-// delivery; stalemap needs the on-demand mapper, so it dispatches to the
-// sequential stale-map campaign. Returns the process exit code.
-func runScale(scenario, topo string, seed int64, reps, workers, flows int, events, asJSON bool) int {
-	if scenario == "stalemap" {
-		c, _ := chaos.Find("stale-map")
-		failed := 0
-		for r := 0; r < reps; r++ {
-			rep := c.RunInstrumented(seed+int64(r), func(cl *core.Cluster) {
-				cl.InstallTracer(trace.NewFlightRecorder(8192))
-			})
-			if err := report.Write(os.Stdout, rep, asJSON); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			if events && !asJSON {
-				fmt.Println("  event log:")
-				fmt.Println(indent(rep.EventLog))
-			}
-			if !rep.Passed() {
-				failed++
-				if rep.FlightDump != "" && !asJSON {
-					fmt.Println("  flight recorder (post-mortem):")
-					fmt.Println(indent(rep.FlightDump))
-				}
-			}
-			if !asJSON {
-				fmt.Println()
-			}
-		}
-		if failed > 0 {
-			return 1
-		}
-		return 0
-	}
-	failed := 0
-	for r := 0; r < reps; r++ {
-		rep, err := chaos.RunScale(chaos.ScaleOpts{
-			Topo: topo, Scenario: scenario, Seed: seed + int64(r),
-			Workers: workers, Flows: flows,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sanchaos: %v\n", err)
-			return 2
-		}
-		if asJSON {
-			if err := json.NewEncoder(os.Stdout).Encode(rep); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-		} else {
-			fmt.Println(rep.String())
-		}
-		if !rep.Passed() {
-			failed++
-		}
-	}
-	if failed > 0 {
-		return 1
-	}
-	return 0
+// result is one job's outcome: its report and the cluster it ran on, or
+// the error that kept a scale run from starting.
+type result struct {
+	rep *chaos.Report
+	c   *core.Cluster
+	err error
 }
 
 // publishMerged folds one finished (quiescent) campaign cluster's metrics

@@ -30,9 +30,9 @@ import (
 
 // Engine binds scenarios, a workload, and measurement to one cluster run.
 // Its measurements — fault counts and the MTTR (delivery stall) histogram —
-// live in the cluster's metrics registry (chaos.faults and
-// chaos.delivery_stall_ns), so campaign telemetry exports alongside the
-// protocol stack's own.
+// live in the cluster's metrics (chaos.faults and chaos.delivery_stall_ns,
+// recorded through core.Cluster.ClusterMetrics on every plan), so campaign
+// telemetry exports alongside the protocol stack's own.
 type Engine struct {
 	C *core.Cluster
 	// Seed drives every random choice the engine or its scenarios make.
@@ -62,7 +62,7 @@ type Engine struct {
 // the engine adopts it: invariant violations freeze a snapshot, and the
 // recorder is available through FlightRecorder for post-mortem dumps.
 func NewEngine(c *core.Cluster, seed int64) *Engine {
-	reg := c.Metrics()
+	reg := c.ClusterMetrics()
 	return &Engine{
 		C:          c,
 		Seed:       seed,

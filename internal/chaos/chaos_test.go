@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"sanft/internal/core"
 	"sanft/internal/topology"
 )
 
@@ -90,7 +91,8 @@ func TestCutLinks(t *testing.T) {
 // TestWorkloadDefaults checks the zero-value workload fills in sane
 // parameters and counts outcomes correctly on a fault-free run.
 func TestWorkloadDefaults(t *testing.T) {
-	c, hosts := chainCluster(3, Baseline())
+	cfg := chainConfig(3)
+	c, hosts := core.New(cfg), cfg.Hosts
 	e := NewEngine(c, 3)
 	r := Workload{Pairs: []Pair{{hosts[0], hosts[5]}, {hosts[5], hosts[0]}}}.Start(e)
 	c.RunFor(2 * time.Second)

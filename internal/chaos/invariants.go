@@ -111,11 +111,7 @@ func CheckInvariants(e *Engine, r *Run, o CheckOpts) []Violation {
 		}
 	}
 
-	if n := e.C.Fab.InFlight(); n != 0 {
-		detail := e.C.Fab.InFlightDetail()
-		if len(detail) > 4 {
-			detail = detail[:4]
-		}
+	if n, detail := e.C.WormsInFlight(); n != 0 {
 		bad("worms", "%d worms still in flight at quiesce: %v", n, detail)
 	}
 

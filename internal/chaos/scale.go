@@ -2,161 +2,73 @@ package chaos
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"sanft/internal/core"
-	"sanft/internal/retrans"
 	"sanft/internal/topology"
 )
 
-// The scale tier: chaos campaigns on thousand-host datacenter fabrics
-// under the sharded parallel engine. The sequential Engine/Campaign stack
-// needs a cluster-wide kernel and the on-demand mapper, neither of which
-// the sharded engine provides — so scale runs are their own small runner:
-// build the fabric from a topology spec, schedule a topology-knowledge
-// fault pattern as precomputed global events, drive a deterministic flow
-// matrix, and audit exactly-once delivery from the merged delivery log.
-// Everything is byte-identical for any worker count (the shard partition
+// The scale tier: chaos campaigns on thousand-host datacenter fabrics on
+// a multi-cell plan. A scale run is an ordinary Campaign: it builds the
+// fabric from a topology spec, schedules a topology-knowledge fault
+// pattern as precomputed global events, drives the cell-native flow
+// matrix (Engine.StartFlows), and is audited by the full invariant oracle.
+// Everything is byte-identical for any worker count (the cell partition
 // defines the semantics), which is what makes the 1k-host differential
 // gate possible.
 
-// ScaleOpts configures one sharded scale campaign.
+// The scale tier's fixed shape: four 256-byte messages per flow paced
+// 8ms apart, so frames stay in flight across the whole fault window
+// (2ms to 32ms: a flap storm is over and healed, a gray window cleared,
+// by then), and an 80ms span that leaves the retransmission tail room to
+// drain. Flap-storm down times are 1–4ms; gray trunks drop 25%.
+const (
+	scaleMsgs     = 4
+	scaleBytes    = 256
+	scaleGap      = 8 * time.Millisecond
+	scaleSpan     = 80 * time.Millisecond
+	scaleStart    = 2 * time.Millisecond
+	scaleWindow   = 30 * time.Millisecond
+	scaleMinDown  = time.Millisecond
+	scaleMaxDown  = 4 * time.Millisecond
+	scaleGrayRate = 0.25
+)
+
+// ScaleOpts configures one scale campaign.
 type ScaleOpts struct {
 	// Topo is a topology spec for topology.ParseSpec ("fattree:8",
 	// "dragonfly:4,2,2", "torus:2,4,4"). Default "fattree:8".
 	Topo string
 	// Scenario selects the fault pattern: "flapstorm" (a seeded
 	// FlapStormSchedule over every trunk), "gray" (probabilistic loss on
-	// every GrayEveryth trunk), or "" / "none" for a fault-free run.
+	// every GrayEvery-th trunk for the fault window), or "" / "none" for a
+	// fault-free run.
 	Scenario string
 	Seed     int64
 	// Workers is the OS-thread count (0 = GOMAXPROCS). Never changes
 	// results, only wall-clock time.
 	Workers int
-	// HostsPerShard sets the shard granularity; 0 groups the hosts into
-	// about 16 shards.
+	// HostsPerShard sets the cell granularity; 0 groups the hosts into
+	// about 16 cells.
 	HostsPerShard int
 
 	// Flows caps the flow matrix (host i sends to the host half the
 	// fabric away, so every flow crosses the core). 0 = one flow per
 	// host.
 	Flows int
-	Msgs  int // per-flow messages; default 4
-	Bytes int // payload size; default 256
-	// Gap is the send pacing; default 8ms, so the default matrix keeps
-	// frames in flight across the whole 30ms fault window instead of
-	// finishing before the first fault lands.
-	Gap time.Duration
-
-	// RunFor is the simulated duration; default 80ms (the storm is over
-	// and healed by 40ms, leaving the retransmission tail room to drain).
-	RunFor time.Duration
-
-	// Flap-storm shape (see FlapStormSchedule). Defaults: 96 events over
-	// a 30ms window, down times 1–4ms.
-	Events           int
-	Window           time.Duration
-	MinDown, MaxDown time.Duration
-
-	// Gray-failure shape: every GrayEveryth trunk (default 8) drops each
-	// crossing packet with probability GrayRate (default 0.25).
-	GrayRate  float64
+	// Events is the flap-storm draw count (see FlapStormSchedule);
+	// default 96.
+	Events int
+	// GrayEvery grays every GrayEvery-th trunk; default 8.
 	GrayEvery int
 }
 
-func (o *ScaleOpts) defaults() {
-	if o.Topo == "" {
-		o.Topo = "fattree:8"
-	}
-	if o.Msgs == 0 {
-		o.Msgs = 4
-	}
-	if o.Bytes == 0 {
-		o.Bytes = 256
-	}
-	if o.Gap == 0 {
-		o.Gap = 8 * time.Millisecond
-	}
-	if o.RunFor == 0 {
-		o.RunFor = 80 * time.Millisecond
-	}
-	if o.Events == 0 {
-		o.Events = 96
-	}
-	if o.Window == 0 {
-		o.Window = 30 * time.Millisecond
-	}
-	if o.MinDown == 0 {
-		o.MinDown = time.Millisecond
-	}
-	if o.MaxDown == 0 {
-		o.MaxDown = 4 * time.Millisecond
-	}
-	if o.GrayRate == 0 {
-		o.GrayRate = 0.25
-	}
-	if o.GrayEvery == 0 {
-		o.GrayEvery = 8
-	}
-}
-
-// ScaleReport is the outcome of one scale campaign.
+// ScaleReport is a scale campaign's report plus the cluster it ran on,
+// whose accessors give the engine facts (Shards, Workers, Epochs,
+// Exchanged, TotalExecuted) and the observable dump (DumpObservables).
 type ScaleReport struct {
-	Spec     string
-	Scenario string
-	Variant  string
-	Seed     int64
-
-	Hosts   int
-	Shards  int
-	Workers int
-	Trunks  int
-	Faults  int // scheduled fault events (flap windows or grayed links)
-
-	Expected   int
-	Delivered  int // distinct (flow, msg) deliveries
-	Duplicates int
-
-	Epochs    uint64
-	Exchanged uint64
-	Executed  uint64
-
-	Violations []Violation
-
-	c *core.Cluster
-}
-
-// Passed reports whether the exactly-once audit held.
-func (r *ScaleReport) Passed() bool { return len(r.Violations) == 0 }
-
-// Dump returns the run's full observable byte stream (deliveries, merged
-// metrics, trace) — the payload differential gates compare across worker
-// counts.
-func (r *ScaleReport) Dump() []byte { return r.c.DumpObservables() }
-
-func (r *ScaleReport) String() string {
-	var b strings.Builder
-	verdict := "PASS"
-	if !r.Passed() {
-		verdict = "FAIL"
-	}
-	fmt.Fprintf(&b, "scale %s · %s [%s seed=%d]: %s\n", r.Spec, r.Scenario, r.Variant, r.Seed, verdict)
-	fmt.Fprintf(&b, "  fabric:    %d hosts, %d trunks, %d shards, %d workers\n",
-		r.Hosts, r.Trunks, r.Shards, r.Workers)
-	fmt.Fprintf(&b, "  faults:    %d scheduled events\n", r.Faults)
-	fmt.Fprintf(&b, "  delivered: %d/%d distinct, %d duplicates\n",
-		r.Delivered, r.Expected, r.Duplicates)
-	fmt.Fprintf(&b, "  engine:    %d epochs, %d boundary crossings, %d events executed\n",
-		r.Epochs, r.Exchanged, r.Executed)
-	if r.Passed() {
-		fmt.Fprintf(&b, "  invariants: exactly-once delivery holds\n")
-	} else {
-		for _, v := range r.Violations {
-			fmt.Fprintf(&b, "  VIOLATION: %s\n", v)
-		}
-	}
-	return b.String()
+	*Report
+	C *core.Cluster
 }
 
 // ScaleFlows builds the deterministic flow matrix for a host list: host i
@@ -179,117 +91,83 @@ func ScaleFlows(hosts []topology.NodeID, n int) []core.Flow {
 	return flows
 }
 
-// RunScale executes one sharded scale campaign: parse the topology spec,
-// build the sharded cluster, install the scenario as precomputed global
-// fault events, run the flow matrix to quiesce, and audit exactly-once
-// delivery. Returns an error only for an unusable spec or scenario name;
-// audit failures land in the report's Violations.
+// RunScale executes one scale campaign on a multi-cell plan built from
+// the topology spec. Returns an error only for an unusable spec or
+// scenario name; audit failures land in the report's Violations.
 func RunScale(o ScaleOpts) (*ScaleReport, error) {
-	o.defaults()
+	if o.Topo == "" {
+		o.Topo = "fattree:8"
+	}
+	if o.Events == 0 {
+		o.Events = 96
+	}
+	if o.GrayEvery == 0 {
+		o.GrayEvery = 8
+	}
+	if o.Scenario == "" {
+		o.Scenario = "none"
+	}
+	switch o.Scenario {
+	case "flapstorm", "gray", "none":
+	default:
+		return nil, fmt.Errorf("chaos: unknown scale scenario %q (want flapstorm, gray, or none)", o.Scenario)
+	}
 	built, err := topology.ParseSpec(o.Topo)
 	if err != nil {
 		return nil, err
 	}
-	hosts := built.Hosts
 	hps := o.HostsPerShard
 	if hps == 0 {
-		hps = (len(hosts) + 15) / 16
+		hps = (len(built.Hosts) + 15) / 16
 	}
-	cfg := core.Config{
-		Net: built.Net, Hosts: hosts, FT: true,
-		Retrans: retrans.Config{
-			QueueSize: 16,
-			Interval:  time.Millisecond,
-			// No mapper on the sharded engine: a permanent-failure
-			// verdict would have no recovery path, so the threshold sits
-			// past the end of the run and retransmission alone rides out
-			// every (healing) fault.
-			PermFailThreshold: 4 * o.RunFor,
+	rep := &ScaleReport{}
+	rep.Report = Campaign{
+		Name: o.Scenario + "@" + o.Topo,
+		Config: func(seed int64) core.Config {
+			return core.Config{
+				Net: built.Net, Hosts: built.Hosts, FT: true,
+				// The mapper stays off at this scale, so a permanent-failure
+				// verdict would have no recovery path: the threshold sits
+				// past the end of the run and retransmission alone rides
+				// out every (healing) fault.
+				Retrans: Retrans(4 * scaleSpan),
+				Engine:  core.EngineSharded,
+				Plan:    core.ShardPlan{HostsPerShard: hps},
+				Workers: o.Workers,
+				Seed:    seed,
+			}
 		},
-		Engine:  core.EngineSharded,
-		Plan:    core.ShardPlan{HostsPerShard: hps},
-		Workers: o.Workers,
-		Seed:    o.Seed,
-	}
-	c := core.New(cfg)
-	trunks := built.Trunks
-	rep := &ScaleReport{
-		Spec:     o.Topo,
-		Scenario: o.Scenario,
-		Variant:  "sharded",
-		Seed:     o.Seed,
-		Hosts:    len(hosts),
-		Shards:   c.Shards(),
-		Workers:  c.Workers(),
-		Trunks:   len(trunks),
-		c:        c,
-	}
+		Start: func(e *Engine) *Run {
+			rep.C = e.C
+			installScale(e, o.Scenario, built.Trunks, o.Events, o.GrayEvery)
+			return e.StartFlows(ScaleFlows(built.Hosts, o.Flows), scaleMsgs, scaleBytes, scaleGap)
+		},
+		Span: scaleSpan,
+	}.Run(o.Seed)
+	return rep, nil
+}
 
-	switch o.Scenario {
+// installScale schedules a scale scenario's faults as global events over
+// the fault window, recording each in the event log.
+func installScale(e *Engine, scenario string, trunks []*topology.Link, events, grayEvery int) {
+	switch scenario {
 	case "flapstorm":
 		ids := make([]int, len(trunks))
 		for i, l := range trunks {
 			ids[i] = l.ID
 		}
-		sched := FlapStormSchedule(ids, o.Seed, o.Events, o.Window, o.MinDown, o.MaxDown)
-		// Shift the storm past startup so the first frames route cleanly.
+		sched := FlapStormSchedule(ids, e.Seed, events, scaleWindow, scaleMinDown, scaleMaxDown)
 		for i := range sched {
-			sched[i].At += 2 * time.Millisecond
+			sched[i].At += scaleStart
+			e.RecordFault("flap-storm %s down at %v for %v",
+				LinkName(e.C.Net, e.C.Net.Links[sched[i].Link]), sched[i].At, sched[i].Dur)
 		}
-		c.ScheduleLinkFlaps(sched)
-		rep.Faults = len(sched)
+		e.C.ScheduleLinkFlaps(sched)
 	case "gray":
-		for i := 0; i < len(trunks); i += o.GrayEvery {
-			c.SetLinkLoss(trunks[i].ID, o.GrayRate)
-			rep.Faults++
-		}
-	case "", "none":
-	default:
-		return nil, fmt.Errorf("chaos: unknown scale scenario %q (want flapstorm, gray, or none)", o.Scenario)
-	}
-
-	flows := ScaleFlows(hosts, o.Flows)
-	c.StartFlows(flows, o.Msgs, o.Bytes, o.Gap)
-	c.RunFor(o.RunFor)
-	c.Stop()
-
-	// Exactly-once audit: every (flow, msg) appears in the merged delivery
-	// log exactly once — retransmission must absorb the faults, receiver
-	// dedup must absorb the retransmissions.
-	type key struct {
-		src, dst topology.NodeID
-		msg      uint64
-	}
-	seen := make(map[key]int)
-	for _, d := range c.Deliveries() {
-		seen[key{d.Src, d.Dst, d.Msg}]++
-	}
-	rep.Expected = len(flows) * o.Msgs
-	missing, duped := 0, 0
-	for _, fl := range flows {
-		for m := 1; m <= o.Msgs; m++ {
-			switch n := seen[key{fl.Src, fl.Dst, uint64(m)}]; {
-			case n == 0:
-				missing++
-			case n > 1:
-				rep.Delivered++
-				rep.Duplicates += n - 1
-				duped++
-			default:
-				rep.Delivered++
-			}
+		for i := 0; i < len(trunks); i += grayEvery {
+			e.RecordFault("gray %s at rate %g from %v for %v",
+				LinkName(e.C.Net, trunks[i]), scaleGrayRate, scaleStart, scaleWindow)
+			e.C.ScheduleLinkLoss(trunks[i].ID, scaleGrayRate, scaleStart, scaleWindow)
 		}
 	}
-	if missing > 0 {
-		rep.Violations = append(rep.Violations, Violation{
-			"delivery", fmt.Sprintf("%d of %d (flow, msg) pairs never delivered", missing, rep.Expected)})
-	}
-	if duped > 0 {
-		rep.Violations = append(rep.Violations, Violation{
-			"dedup", fmt.Sprintf("%d (flow, msg) pairs delivered more than once (%d extras)", duped, rep.Duplicates)})
-	}
-	rep.Epochs = c.Epochs()
-	rep.Exchanged = c.Exchanged()
-	rep.Executed = c.TotalExecuted()
-	return rep, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"sanft/internal/core"
 	"sanft/internal/sim"
 	"sanft/internal/topology"
 )
@@ -83,6 +84,10 @@ type Run struct {
 	// Msgs per pair. Populate through NoteSent.
 	Sent map[Pair]map[uint64]bool
 
+	// fromLog marks a run whose counts the runner fills from the
+	// cluster's delivery log at quiesce (see Engine.StartFlows).
+	fromLog bool
+
 	lastDelivery map[Pair]sim.Time
 }
 
@@ -113,18 +118,47 @@ func (r *Run) NoteSent(pr Pair, id uint64) {
 // NoteDelivered records one completion notification on the directed pair
 // and feeds the engine's delivery-stall (MTTR) histogram, mirroring what
 // the built-in workload's receivers do.
-func (e *Engine) NoteDelivered(r *Run, pr Pair, id uint64) {
+func (e *Engine) NoteDelivered(r *Run, pr Pair, id uint64) { e.noteAt(r, pr, id, e.C.Now()) }
+
+// noteAt is NoteDelivered for a notification that arrived at time at.
+func (e *Engine) noteAt(r *Run, pr Pair, id uint64, at sim.Time) {
 	m := r.Counts[pr]
 	if m == nil {
 		m = make(map[uint64]int)
 		r.Counts[pr] = m
 	}
 	m[id]++
-	now := e.C.Now()
 	if last, ok := r.lastDelivery[pr]; ok {
-		e.observeGap(now.Sub(last))
+		e.observeGap(at.Sub(last))
 	}
-	r.lastDelivery[pr] = now
+	r.lastDelivery[pr] = at
+}
+
+// StartFlows drives the cluster's frame-level flow matrix
+// (core.Cluster.StartFlows), the traffic every plan runs, and returns a
+// run that expects each of the msgs messages of every flow. The campaign
+// runner fills its counts from the merged delivery log at quiesce, so
+// the delivery, dedup and stall accounting match the built-in workload's.
+func (e *Engine) StartFlows(flows []core.Flow, msgs, bytes int, gap time.Duration) *Run {
+	e.paceFloor(gap)
+	r := e.NewExternalRun()
+	r.fromLog = true
+	for _, f := range flows {
+		for m := 1; m <= msgs; m++ {
+			r.NoteSent(Pair{f.Src, f.Dst}, uint64(m))
+		}
+	}
+	e.C.StartFlows(flows, msgs, bytes, gap)
+	return r
+}
+
+// paceFloor keeps the stall floor above twice the send gap: a delivery
+// gap at the workload's own pace is not a stall, so MTTR records only
+// fault-induced delays.
+func (e *Engine) paceFloor(gap time.Duration) {
+	if e.StallFloor < 2*gap {
+		e.StallFloor = 2 * gap
+	}
 }
 
 // Start exports a buffer per pair, spawns the receive and send processes,
@@ -139,12 +173,7 @@ func (w Workload) Start(e *Engine) *Run {
 	if w.Gap == 0 {
 		w.Gap = 200 * time.Microsecond
 	}
-	// A delivery gap at the workload's own pace is not a stall: keep the
-	// stall floor above twice the send gap so MTTR records only
-	// fault-induced delays.
-	if e.StallFloor < 2*w.Gap {
-		e.StallFloor = 2 * w.Gap
-	}
+	e.paceFloor(w.Gap)
 	r := &Run{
 		W:            w,
 		Counts:       make(map[Pair]map[uint64]int),

@@ -354,6 +354,17 @@ func (c *Cluster) ScheduleLinkFlaps(events []LinkFlapEvent) {
 	}
 }
 
+// ScheduleLinkLoss makes a topology link gray at rate (see SetLinkLoss)
+// from at until at+dur, on every cell at the same simulated instants:
+// like ScheduleLinkFlaps, a global state change that needs no lookahead.
+// Call before Run.
+func (c *Cluster) ScheduleLinkLoss(link int, rate float64, at, dur time.Duration) {
+	for _, cl := range c.cells {
+		cl.k.After(at, func() { cl.fab.SetLinkLoss(link, rate, c.cfg.Seed) })
+		cl.k.After(at+dur, func() { cl.fab.SetLinkLoss(link, 0, c.cfg.Seed) })
+	}
+}
+
 // StartFlows spawns the frame-level workload: for each flow, a sender
 // process on the source host's cell pushes msgs data frames of size bytes
 // with gap pacing (plus a per-flow stagger), and arms the delivery log,
@@ -437,12 +448,16 @@ func (c *Cluster) Shards() int { return len(c.cells) }
 func (c *Cluster) CellKernel(i int) *sim.Kernel { return c.cells[i].k }
 
 // MergedObserver merges every cell's registry (in cell order — though
-// any order gives the same result, see metrics.MergeFrom) into one fresh
-// observer, materializing derived gauges at the current frontier.
+// any order gives the same result, see metrics.MergeFrom) and the
+// cluster-level one (ClusterMetrics) into one fresh observer,
+// materializing derived gauges at the current frontier.
 func (c *Cluster) MergedObserver() *metrics.Observer {
 	obs := metrics.NewObserver(c.cfg.Metrics)
 	for _, cl := range c.cells {
 		obs.Registry().MergeFrom(cl.obs.Registry())
+	}
+	if c.reg != nil {
+		obs.Registry().MergeFrom(c.reg)
 	}
 	return obs
 }

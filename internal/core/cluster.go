@@ -195,6 +195,10 @@ type Cluster struct {
 	eng    *parsim.Engine // nil on the one-cell plan
 
 	tracer trace.Tracer
+	// reg holds cluster-level metrics on several cells (see
+	// ClusterMetrics); nil on one cell, where they live in the cell's
+	// registry.
+	reg *metrics.Registry
 
 	// Engine-profiling state (nil/zero when Config.Profile is off).
 	prof      *enginestat.EngineProf // parallel engine's recording area
@@ -270,6 +274,7 @@ func New(cfg Config) *Cluster {
 		}
 	} else {
 		c.Lookahead = cfg.Fabric.MinCrossLatency(minHops)
+		c.reg = metrics.NewRegistry()
 		c.connectCells()
 		c.run = c.eng
 	}
@@ -375,6 +380,38 @@ func (c *Cluster) Observer() *metrics.Observer {
 // Metrics returns the cluster-wide metrics registry (shorthand for
 // Observer().Registry()).
 func (c *Cluster) Metrics() *metrics.Registry { return c.Observer().Registry() }
+
+// ClusterMetrics returns the live registry for metrics no cell owns,
+// such as the chaos engine's fault count and stall histogram. On the
+// one-cell plan it is the cell's registry; on several cells it is a
+// cluster-level registry that every Metrics/MergedObserver snapshot, and
+// so DumpObservables, folds in with the cells'. Record into it only
+// while the cells are quiescent (before RunFor, between runs, after
+// Stop).
+func (c *Cluster) ClusterMetrics() *metrics.Registry {
+	if c.reg == nil {
+		return c.cells[0].obs.Registry()
+	}
+	return c.reg
+}
+
+// WormsInFlight returns how many worms the cells' fabrics still hold,
+// with a description of up to four of them. A Pipe holds none: it
+// decides each packet's fate at injection.
+func (c *Cluster) WormsInFlight() (int, []string) {
+	n := 0
+	var detail []string
+	for _, cl := range c.cells {
+		if f, ok := cl.fab.(*fabric.Fabric); ok && f.InFlight() > 0 {
+			n += f.InFlight()
+			detail = append(detail, f.InFlightDetail()...)
+		}
+	}
+	if len(detail) > 4 {
+		detail = detail[:4]
+	}
+	return n, detail
+}
 
 // InstallTracer wires tr into every layer of an already-built cluster —
 // each NIC and each fabric — and remembers it for Tracer()/FlightRecorder().

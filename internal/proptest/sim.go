@@ -158,34 +158,13 @@ func RunSim(sc SimScenario) *SimResult {
 
 // RunSimWith is RunSim with a hook invoked after the engine is built and
 // faults are installed but before traffic starts — used by tests that need
-// extra instrumentation on the same deterministic run.
+// extra instrumentation on the same deterministic run. The scenario runs
+// as a chaos campaign; on top of the campaign's invariant audit this
+// oracle adds FIFO ordering, the unreachable waiver, the stale-map replay
+// check and the drain check.
 func RunSimWith(sc SimScenario, pre func(*chaos.Engine)) *SimResult {
 	res := &SimResult{Scenario: sc}
 	nw, hosts := sc.Topo.Build()
-	if len(hosts) < 2 {
-		return res
-	}
-	rc, pol, fcfg := simRecovery()
-	fr := trace.NewFlightRecorder(4096)
-	watch := &unreachWatch{inner: fr, pairs: make(map[pairKey]bool)}
-	c := core.New(core.Config{
-		Net:     nw,
-		Hosts:   hosts,
-		FT:      true,
-		Retrans: rc,
-		Mapper:  true,
-		Remap:   pol,
-		Fabric:  fcfg,
-		Tracer:  watch,
-		Seed:    sc.Seed,
-	})
-	res.Recorder = fr
-	e := chaos.NewEngine(c, sc.Seed)
-	e.Install(schedule{faults: sc.Faults, seed: sc.Seed})
-	if pre != nil {
-		pre(e)
-	}
-
 	pairs := sc.pairList(hosts)
 	if len(pairs) == 0 {
 		return res
@@ -194,6 +173,11 @@ func RunSimWith(sc SimScenario, pre func(*chaos.Engine)) *SimResult {
 	for i, p := range pairs {
 		wpairs[i] = chaos.Pair{Src: p.src, Dst: p.dst}
 	}
+	rc, pol, fcfg := simRecovery()
+	fr := trace.NewFlightRecorder(4096)
+	watch := &unreachWatch{inner: fr, pairs: make(map[pairKey]bool)}
+	res.Recorder = fr
+
 	// FIFO-ordering oracle: per pair, notification message IDs must be
 	// strictly increasing — retransmission, generation resets, and remaps
 	// may lose messages (to unreachable peers) but never reorder them.
@@ -213,7 +197,6 @@ func RunSimWith(sc SimScenario, pre func(*chaos.Engine)) *SimResult {
 			seenID[p] = true
 		},
 	}
-	run := w.Start(e)
 
 	// Run until every fault has struck and healed and the workload has had
 	// time to send, then drain: long enough for the timer-driven recovery
@@ -227,10 +210,37 @@ func RunSimWith(sc SimScenario, pre func(*chaos.Engine)) *SimResult {
 	if sendSpan := time.Duration(sc.Msgs)*sc.Gap + time.Millisecond; sendSpan > horizon {
 		horizon = sendSpan
 	}
-	c.RunFor(horizon + 2*time.Second)
-	c.Stop()
 
-	for _, v := range chaos.CheckInvariants(e, run, chaos.CheckOpts{AllowLoss: true}) {
+	var c *core.Cluster
+	var run *chaos.Run
+	rep := chaos.Campaign{
+		Name: "proptest",
+		Config: func(seed int64) core.Config {
+			return core.Config{
+				Net:     nw,
+				Hosts:   hosts,
+				FT:      true,
+				Retrans: rc,
+				Mapper:  true,
+				Remap:   pol,
+				Fabric:  fcfg,
+				Tracer:  watch,
+				Seed:    seed,
+			}
+		},
+		Start: func(e *chaos.Engine) *chaos.Run {
+			c = e.C
+			e.Install(schedule{faults: sc.Faults, seed: sc.Seed})
+			if pre != nil {
+				pre(e)
+			}
+			run = w.Start(e)
+			return run
+		},
+		Span:  horizon + 2*time.Second,
+		Check: chaos.CheckOpts{AllowLoss: true},
+	}.Run(sc.Seed)
+	for _, v := range rep.Violations {
 		res.Violations = append(res.Violations, v.String())
 	}
 
@@ -248,8 +258,8 @@ func RunSimWith(sc SimScenario, pre func(*chaos.Engine)) *SimResult {
 	// Per-pair delivery: loss is only legal toward destinations the sender
 	// explicitly declared unreachable — the paper's graceful-degradation
 	// contract. Everything else must arrive in full.
-	res.Expected = run.Expected()
-	res.Delivered = run.Delivered()
+	res.Expected = rep.Expected
+	res.Delivered = rep.Delivered
 	sawUnreach := len(watch.pairs) > 0
 	for _, pr := range wpairs {
 		if watch.pairs[pairKey{pr.Src, pr.Dst}] {

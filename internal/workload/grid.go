@@ -9,7 +9,6 @@ import (
 	"sanft/internal/mapping"
 	"sanft/internal/parsim"
 	"sanft/internal/report"
-	"sanft/internal/retrans"
 	"sanft/internal/topology"
 )
 
@@ -211,57 +210,57 @@ func RunGrid(o GridOpts) (GridResult, error) {
 	return g, nil
 }
 
-// runReplica builds one cluster, attaches the workload, runs the fault
-// schedule, and audits the run. Each replica owns a fresh topology
-// build — faults mutate the network, so replicas cannot share one.
+// runReplica runs one replica as a chaos campaign: a fresh topology
+// build (faults mutate the network, so replicas cannot share one), the
+// workload attached to a strided host set, and the cell's fault. The
+// grid's faults all heal (flaps end, the drop ramp returns to zero), so
+// the full contract applies: complete delivery, no duplicates, bounded
+// remapping.
 func runReplica(cell gridCell, seed int64, dur time.Duration, nHosts int) replicaOut {
 	b, err := topology.ParseSpec(cell.topo)
 	if err != nil {
 		panic(fmt.Sprintf("workload: topo %q validated then failed: %v", cell.topo, err))
 	}
 	hosts := strideHosts(b.Hosts, nHosts)
-	c := core.New(core.Config{
-		Net:   b.Net,
-		Hosts: hosts,
-		FT:    true,
-		Retrans: retrans.Config{
-			QueueSize:         16,
-			Interval:          time.Millisecond,
-			PermFailThreshold: 8 * time.Millisecond,
-		},
-		Mapper: true,
-		// Scan only the ports the fabric actually has: the default radix
-		// would burn probe timeouts on ports that cannot exist.
-		MapperCfg: mapping.Config{MaxRadix: maxSwitchRadix(b.Net)},
-		Seed:      seed,
-	})
-	e := chaos.NewEngine(c, seed)
-
 	spec := cell.spec
 	spec.Seed = seed
 	nSrv := serverSplit(spec, len(hosts))
 	servers, clients := hosts[:nSrv], hosts[nSrv:]
-	d := Attach(e, spec, clients, servers)
-	if err := InstallFault(e, cell.fault, clients[0], servers[0]); err != nil {
-		panic(fmt.Sprintf("workload: fault %q validated then failed: %v", cell.fault, err))
-	}
-
-	c.RunFor(dur)
-	c.Stop()
+	var d *Driver
+	rep := chaos.Campaign{
+		Name: spec.Scenario(),
+		Config: func(seed int64) core.Config {
+			return core.Config{
+				Net: b.Net, Hosts: hosts, FT: true,
+				Retrans: chaos.Retrans(8 * time.Millisecond),
+				Mapper:  true,
+				// Scan only the ports the fabric actually has: the default
+				// radix would burn probe timeouts on ports that cannot exist.
+				MapperCfg: mapping.Config{MaxRadix: maxSwitchRadix(b.Net)},
+				Seed:      seed,
+			}
+		},
+		Start: func(e *chaos.Engine) *chaos.Run {
+			d = Attach(e, spec, clients, servers)
+			if err := InstallFault(e, cell.fault, clients[0], servers[0]); err != nil {
+				panic(fmt.Sprintf("workload: fault %q validated then failed: %v", cell.fault, err))
+			}
+			return d.Run()
+		},
+		Span:  dur,
+		Check: chaos.CheckOpts{MaxRemapAttempts: 400},
+	}.Run(seed)
 
 	out := replicaOut{res: d.Result(cell.topo, cell.fault, dur)}
 	var vios []string
 	// A run cut off before its generators finished has not quiesced:
-	// report that first, so the audit's in-flight findings below read as
-	// its consequence rather than as a protocol fault.
+	// report that first, so the audit's in-flight findings read as its
+	// consequence rather than as a protocol fault.
 	if out.res.Issued < uint64(d.Spec.Ops) {
 		vios = append(vios, fmt.Sprintf("op budget not drained: issued %d of %d",
 			out.res.Issued, d.Spec.Ops))
 	}
-	// The grid's faults all heal (flaps end, the drop ramp returns to
-	// zero), so the full contract applies: complete delivery, no
-	// duplicates, bounded remapping.
-	for _, v := range chaos.CheckInvariants(e, d.Run(), chaos.CheckOpts{MaxRemapAttempts: 400}) {
+	for _, v := range rep.Violations {
 		vios = append(vios, v.String())
 	}
 	for _, v := range vios {

@@ -160,60 +160,44 @@ func TestParallelByteIdenticalCoarseShards(t *testing.T) {
 // TestParallelByteIdentical1kHosts is the differential gate at datacenter
 // scale: a 1024-host fat-tree (k=16) under a correlated link-flap storm,
 // run with 1, 2, and 4 workers, must produce byte-identical observable
-// dumps — and the run itself must pass the exactly-once delivery audit.
-// Skipped under -short: each run simulates 64 shards through a 96-event
+// dumps — and the run itself must pass the full invariant oracle.
+// Skipped under -short: each run simulates 64 cells through a 96-event
 // storm (a few seconds of wall time per worker count).
 func TestParallelByteIdentical1kHosts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-host differential gate skipped in -short mode")
 	}
-	run := func(workers int) (*chaos.ScaleReport, []byte) {
+	run := func(seed int64, workers int) (*chaos.ScaleReport, []byte) {
 		rep, err := chaos.RunScale(chaos.ScaleOpts{
 			Topo:     "fattree:16",
 			Scenario: "flapstorm",
-			Seed:     7,
+			Seed:     seed,
 			Workers:  workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep, rep.Dump()
+		if !rep.Passed() {
+			t.Fatalf("seed %d workers=%d run violates invariants: %v", seed, workers, rep.Violations)
+		}
+		return rep, rep.C.DumpObservables()
 	}
-	refRep, ref := run(1)
-	if !refRep.Passed() {
-		t.Fatalf("reference run violates invariants: %v", refRep.Violations)
-	}
-	if refRep.Hosts != 1024 {
-		t.Fatalf("fattree:16 built %d hosts, want 1024", refRep.Hosts)
+	refRep, ref := run(7, 1)
+	if n := len(refRep.C.Hosts); n != 1024 {
+		t.Fatalf("fattree:16 built %d hosts, want 1024", n)
 	}
 	if refRep.Faults == 0 || refRep.Delivered == 0 {
 		t.Fatalf("gate proves nothing: %d faults, %d deliveries", refRep.Faults, refRep.Delivered)
 	}
 	for _, w := range []int{2, 4} {
-		rep, got := run(w)
-		if !rep.Passed() {
-			t.Fatalf("workers=%d run violates invariants: %v", w, rep.Violations)
-		}
-		if !bytes.Equal(ref, got) {
+		if _, got := run(7, w); !bytes.Equal(ref, got) {
 			diffLine := firstDiffLine(ref, got)
 			t.Fatalf("1k-host workers=%d output differs from workers=1 (first differing line %d):\n  seq: %s\n  par: %s",
 				w, diffLine.n, diffLine.a, diffLine.b)
 		}
 	}
 	// Seed sensitivity: a different storm must change the bytes.
-	otherRep, other := func() (*chaos.ScaleReport, []byte) {
-		rep, err := chaos.RunScale(chaos.ScaleOpts{
-			Topo: "fattree:16", Scenario: "flapstorm", Seed: 8, Workers: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, rep.Dump()
-	}()
-	if !otherRep.Passed() {
-		t.Fatalf("seed-8 run violates invariants: %v", otherRep.Violations)
-	}
-	if bytes.Equal(ref, other) {
+	if _, other := run(8, 4); bytes.Equal(ref, other) {
 		t.Fatal("different seeds produced identical 1k-host dumps")
 	}
 }
